@@ -20,6 +20,7 @@ from .netsim import (
     SilencingPolicy,
     apply_policy,
     build_network,
+    estimate_grid,
     estimate_silencing_area_coverage,
     estimate_success,
     uplink_trial,
@@ -41,7 +42,7 @@ __all__ = [
     "ChannelParams", "LinkSample", "compute_sinr", "friis_gain", "path_gain",
     "Annulus", "Point2D", "disk", "nearest_point", "sample_ppp", "thin",
     "AerialTier", "Estimate", "NetworkSnapshot", "ScenarioConfig", "ScenarioError",
-    "SilencingPolicy", "apply_policy", "build_network",
+    "SilencingPolicy", "apply_policy", "build_network", "estimate_grid",
     "estimate_silencing_area_coverage", "estimate_success", "uplink_trial",
     "SweepGrid", "TradeoffWeights", "optimize_tradeoff", "sweep", "utility",
     "ChargingModel", "SatWetParams", "charge_curve", "charging_time",

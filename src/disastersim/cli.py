@@ -18,11 +18,7 @@ import yaml
 
 from . import __version__
 from .acb import admitted_load, simulate_access
-from .netsim import (
-    ScenarioError,
-    estimate_silencing_area_coverage,
-    estimate_success,
-)
+from .netsim import ScenarioError, estimate_grid
 from .planner import sweep
 from .satwet import charge_curve
 from .scenario import ScenarioDocument, load_scenario
@@ -144,10 +140,9 @@ def _run_silencing_run(doc: ScenarioDocument, workers: int):
     _require_section(doc, "silencing")
     spec = doc.silencing
     cfg = spec.config
+    (points,) = estimate_grid(cfg, (cfg.silencing_radius,), spec.policies, workers)
     rows = []
-    for policy in spec.policies:
-        up = estimate_success(cfg, policy, workers=workers)
-        down = estimate_silencing_area_coverage(cfg, policy, workers=workers)
+    for policy, (up, down) in zip(spec.policies, points):
         rows.append([
             policy.kind, policy.silencing_power_factor, cfg.silencing_radius,
             up.value, up.ci_halfwidth, down.value, down.ci_halfwidth,
@@ -182,7 +177,7 @@ def _run_acb(doc: ScenarioDocument, workers: int):
     _require_section(doc, "acb")
     spec = doc.acb
     mean = admitted_load(spec.profile, capacity=spec.capacity)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(doc.seed % 2**64,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(doc.seed,)))
     sim = simulate_access(spec.profile, spec.capacity, spec.horizon, rng)
     rows = []
     for i, cls in enumerate(spec.profile.classes):

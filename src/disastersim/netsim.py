@@ -9,29 +9,37 @@ interference it must overcome is the aggregate co-band downlink radiation
 of every other transmitting station, received at the serving site.
 
 Determinism contract: all randomness of trial t is drawn from Philox
-engines keyed by (master_seed mod 2^64) at counter block (0, 0, t, s),
-where s is the substream role:
+engines keyed by master_seed (an integer in [0, 2^64)) at counter block
+(0, 0, t, s), where s is the substream role:
 
     s=0  core geometry: device position, disaster stations (count,
          positions, survival marks), ring stations, aerial stations
     s=1  exterior stations, sampled in ascending radius
     s=2  uplink fading: device link, then one draw per station in array order
-    s=3  silencing-area user position and downlink fading
+    s=3  silencing-area user position and downlink fading (reset per
+         silencing radius, since the user is drawn inside it)
 
-Policies never consume randomness, so a trial's realization is identical
-under every policy; station arrays are ordered [disaster, ring, aerial,
-exterior] with the exterior ascending in radius, so enlarging sim_radius
-only appends stations and fading draws. Both properties make policy and
-truncation comparisons exact per trial, not just statistical. Estimates
-reduce integer success counts in ascending trial order and are
+Policies never consume randomness, and exterior stations are sampled over
+the whole (ring, sim_radius) annulus and only split into silencing and
+outer zones by radius, so a trial's realization is identical at every
+(silencing radius, policy) point. estimate_grid uses this: it samples each
+trial once and scores every point from that one realization, summing each
+point's interference over the same stations, in the same order and with
+the same products as the reference kernels uplink_sinr / downlink_sinr.
+Station arrays are ordered [disaster, ring, aerial, exterior] with the
+exterior ascending in radius, so enlarging sim_radius only appends stations
+and fading draws. These properties make policy, radius and truncation
+comparisons exact per trial, not just statistical. Estimates reduce
+integer counts over fixed trial ranges in ascending order and are
 bit-identical for any worker count.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import lru_cache
+from itertools import repeat
 import math
 
 import numpy as np
@@ -57,6 +65,7 @@ __all__ = [
     "uplink_trial",
     "downlink_sinr",
     "downlink_trial",
+    "estimate_grid",
     "estimate_success",
     "estimate_silencing_area_coverage",
 ]
@@ -89,10 +98,13 @@ STREAM_UPLINK = 2
 STREAM_DOWNLINK = 3
 _N_STREAMS = 4
 
+# Seeds key a 64-bit Philox word; larger or negative seeds would alias.
+SEED_LIMIT = 2**64
+
 
 def trial_rng(master_seed: int, trial_index: int, substream: int) -> np.random.Generator:
     """Generator for one (trial, substream) pair; see the module docstring."""
-    key = np.array([master_seed % 2**64, 0], dtype=np.uint64)
+    key = np.array([master_seed, 0], dtype=np.uint64)
     counter = np.array([0, 0, trial_index, substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
@@ -106,7 +118,7 @@ class _StreamPool:
     """
 
     def __init__(self, master_seed: int):
-        key = np.array([master_seed % 2**64, 0], dtype=np.uint64)
+        key = np.array([master_seed, 0], dtype=np.uint64)
         self._engines = [np.random.Philox(key=key) for _ in range(_N_STREAMS)]
         self._generators = [np.random.Generator(e) for e in self._engines]
         self._states = [e.state for e in self._engines]
@@ -183,6 +195,8 @@ class ScenarioConfig:
             raise ScenarioError("bs_tx_power", f"must be >= 0, got {self.bs_tx_power}")
         if self.n_trials < 1:
             raise ScenarioError("n_trials", f"must be >= 1, got {self.n_trials}")
+        if not 0 <= self.master_seed < SEED_LIMIT:
+            raise ScenarioError("master_seed", f"must be in [0, 2^64), got {self.master_seed}")
 
     @property
     def ring_outer_radius(self) -> float:
@@ -374,13 +388,6 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     )
 
 
-def _stamp_policy(net: NetworkSnapshot, policy: SilencingPolicy):
-    sil = net.zone == Zone.SILENCING
-    net.power_factor[sil] = policy.silencing_power_factor
-    if policy.kind == "spectrum_split":
-        net.band[sil] = Band.ALTERNATE_BAND
-
-
 def apply_policy(net: NetworkSnapshot, policy: SilencingPolicy) -> NetworkSnapshot:
     """Return a copy of the snapshot with the policy stamped onto the silencing zone.
 
@@ -389,7 +396,10 @@ def apply_policy(net: NetworkSnapshot, policy: SilencingPolicy) -> NetworkSnapsh
     alternate band at full power. No randomness is consumed.
     """
     out = net.copy()
-    _stamp_policy(out, policy)
+    sil = out.zone == Zone.SILENCING
+    out.power_factor[sil] = policy.silencing_power_factor
+    if policy.kind == "spectrum_split":
+        out.band[sil] = Band.ALTERNATE_BAND
     return out
 
 
@@ -516,6 +526,16 @@ def downlink_sinr(
     return signal / denom, serving
 
 
+def _silencing_annulus(cfg: ScenarioConfig, silencing_radius: float) -> Annulus:
+    """The region a silencing-area user is drawn from; it must not be empty."""
+    if silencing_radius <= cfg.ring_outer_radius:
+        raise ScenarioError(
+            "silencing_radius",
+            "silencing annulus is empty; coverage inside it is undefined",
+        )
+    return Annulus(Point2D(0.0, 0.0), cfg.ring_outer_radius, silencing_radius)
+
+
 def downlink_trial(
     net: NetworkSnapshot,
     cfg: ScenarioConfig,
@@ -529,13 +549,7 @@ def downlink_trial(
     order: user position (radius, angle), user-link fading, one fading per
     station in array order.
     """
-    if cfg.silencing_radius <= cfg.ring_outer_radius:
-        raise ScenarioError(
-            "silencing_radius",
-            "silencing annulus is empty; coverage inside it is undefined",
-        )
-    region = Annulus(Point2D(0.0, 0.0), cfg.ring_outer_radius, cfg.silencing_radius)
-    user = geometry.sample_uniform(region, 1, rng)[0]
+    user = geometry.sample_uniform(_silencing_annulus(cfg, cfg.silencing_radius), 1, rng)[0]
     g = rng.exponential()
     h = rng.exponential(size=net.n_bs)
     band = Band.ALTERNATE_BAND if policy.kind == "spectrum_split" else Band.DISASTER_BAND
@@ -545,45 +559,185 @@ def downlink_trial(
     return TrialResult(bool(sinr >= cfg.channel.sinr_threshold), False, float(sinr))
 
 
-def _uplink_chunk(cfg: ScenarioConfig, policy: SilencingPolicy, start: int, stop: int) -> tuple[int, int]:
-    pool = _StreamPool(cfg.master_seed)
-    successes = holes = 0
+class _Received:
+    """Power pf*tx*h*g that every station delivers at one receiver, for any
+    silencing-zone power factor pf (pf = 1 everywhere else).
+
+    The terms, their product order and the sum over them in station order
+    (ndarray.sum is np.sum without the dispatch overhead) are those of
+    uplink_sinr and downlink_sinr, so each point's interference is
+    bit-identical to what the kernels compute on a policied snapshot.
+    """
+
+    def __init__(self, tx_power: np.ndarray, fading: np.ndarray, gains: np.ndarray):
+        self.tx_power, self.fading, self.gains = tx_power, fading, gains
+        self.full = tx_power * fading * gains  # pf = 1, and 1.0 * tx == tx exactly
+
+    def interference(self, on: np.ndarray, sil_idx: np.ndarray, factor: float) -> float:
+        """Sum over the stations in `on`; factor-0 stations are never in `on`."""
+        terms = self.full
+        if 0.0 < factor < 1.0:
+            terms = self.full.copy()
+            terms[sil_idx] = factor * self.tx_power[sil_idx] * self.fading[sil_idx] * self.gains[sil_idx]
+        return float(terms[on].sum())
+
+
+def _score_uplink(cfg: ScenarioConfig, net: NetworkSnapshot, sil_masks, factors, rng, counts: np.ndarray):
+    """Add one trial's uplink (successes, holes) to counts[radius, policy].
+
+    factors[j] is policy j's power factor on the disaster band inside the
+    silencing zone. The serving station depends on neither radius nor
+    policy, so it and its gains to every station are found once.
+    """
+    ch = cfg.channel
+    g = rng.exponential()
+    h = rng.exponential(size=net.n_bs)
+    candidates = np.flatnonzero(net.alive & (net.zone <= Zone.ACTIVE_RING))
+    if candidates.size == 0:
+        counts[:, :, 1] += 1
+        return
+    d_dev = _distances_3d(net.xy[candidates], net.altitude[candidates], net.device_xy, 0.0)
+    pick = int(np.argmin(d_dev))
+    serving = int(candidates[pick])
+    signal = cfg.device_tx_power * g * path_gain(max(float(d_dev[pick]), ch.min_distance), ch)
+    d = _distances_3d(net.xy, net.altitude, net.xy[serving], float(net.altitude[serving]))
+    received = _Received(net.tx_power, h, path_gain(np.maximum(d, ch.min_distance), ch))
+    on = net.alive.copy()
+    on[serving] = False
+    for k, sil in enumerate(sil_masks):
+        sil_idx = np.flatnonzero(sil)
+        unsilenced = on & ~sil
+        for j, factor in enumerate(factors):
+            interference = received.interference(on if factor > 0.0 else unsilenced, sil_idx, factor)
+            denom = interference + ch.noise_power
+            counts[k, j, 0] += denom == 0.0 or signal / denom >= ch.sinr_threshold
+
+
+def _downlink_server(on: np.ndarray, d: np.ndarray, ch: ChannelParams):
+    """Nearest station in `on` to the user, its path gain, and the other
+    stations in `on`; None when `on` is empty."""
+    candidates = np.flatnonzero(on)
+    if candidates.size == 0:
+        return None
+    serving = int(candidates[int(np.argmin(d[candidates]))])
+    others = on.copy()
+    others[serving] = False
+    return serving, path_gain(max(float(d[serving]), ch.min_distance), ch), others
+
+
+def _score_downlink(cfg: ScenarioConfig, net: NetworkSnapshot, sil: np.ndarray, policies, region: Annulus,
+                    rng, counts: np.ndarray):
+    """Add one trial's silencing-area (successes, holes) at one radius to counts[policy].
+
+    The user and the fading depend on the radius only, so distances and
+    gains to every station are found once. The serving station depends only
+    on which stations transmit on the user's band: all of them, all but the
+    silenced ones, or (spectrum_split) only the retuned ones.
+    """
+    ch = cfg.channel
+    user = geometry.sample_uniform(region, 1, rng)[0]
+    g = rng.exponential()
+    h = rng.exponential(size=net.n_bs)
+    d = _distances_3d(net.xy, net.altitude, user, 0.0)
+    received = _Received(net.tx_power, h, path_gain(np.maximum(d, ch.min_distance), ch))
+    sil_idx = np.flatnonzero(sil)
+    servers = {}
+    for j, policy in enumerate(policies):
+        factor = policy.silencing_power_factor
+        if policy.kind == "spectrum_split":
+            key = "retuned"
+        else:
+            key = "all" if factor > 0.0 else "unsilenced"
+        if key not in servers:
+            if key == "retuned":
+                on = net.alive & sil
+            elif key == "unsilenced":
+                on = net.alive & ~sil
+            else:
+                on = net.alive
+            servers[key] = _downlink_server(on, d, ch)
+        if servers[key] is None:
+            counts[j, 1] += 1
+            continue
+        serving, gain, others = servers[key]
+        pf = factor if sil[serving] else 1.0
+        signal = pf * net.tx_power[serving] * g * gain
+        denom = received.interference(others, sil_idx, factor) + ch.noise_power
+        if denom == 0.0 and signal == 0.0:
+            counts[j, 1] += 1
+        else:
+            counts[j, 0] += denom == 0.0 or signal / denom >= ch.sinr_threshold
+
+
+def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, start: int, stop: int) -> np.ndarray:
+    """Integer counts [radius, policy, (uplink successes, uplink holes,
+    downlink successes, downlink holes)] over trials [start, stop).
+
+    Each trial is sampled once; only the zone split depends on the radius,
+    because exterior stations cover the whole (ring, sim_radius) annulus.
+    regions holds the silencing annulus per radius, or is None to skip the
+    downlink.
+    """
+    counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
+    up_factors = [0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies]
+    streams = _StreamPool(cfg.master_seed)
     for t in range(start, stop):
-        net = _sample_trial(cfg, pool.get(t, STREAM_GEOMETRY), pool.get(t, STREAM_EXTERIOR))
-        _stamp_policy(net, policy)
-        res = uplink_trial(net, cfg, pool.get(t, STREAM_UPLINK))
-        successes += res.success
-        holes += res.coverage_hole
-    return successes, holes
+        net = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
+        exterior = net.zone >= Zone.SILENCING
+        r = np.hypot(net.xy[:, 0], net.xy[:, 1])
+        sil_masks = [exterior & (r <= r_s) for r_s in radii]
+        if uplink:
+            _score_uplink(cfg, net, sil_masks, up_factors, streams.get(t, STREAM_UPLINK), counts[:, :, :2])
+        for k, region in enumerate(regions or ()):
+            _score_downlink(cfg, net, sil_masks[k], policies, region, streams.get(t, STREAM_DOWNLINK), counts[k, :, 2:])
+    return counts
 
 
-def _downlink_chunk(cfg: ScenarioConfig, policy: SilencingPolicy, start: int, stop: int) -> tuple[int, int]:
-    pool = _StreamPool(cfg.master_seed)
-    successes = holes = 0
-    for t in range(start, stop):
-        net = _sample_trial(cfg, pool.get(t, STREAM_GEOMETRY), pool.get(t, STREAM_EXTERIOR))
-        _stamp_policy(net, policy)
-        res = downlink_trial(net, cfg, policy, pool.get(t, STREAM_DOWNLINK))
-        successes += res.success
-        holes += res.coverage_hole
-    return successes, holes
+def estimate_grid(
+    cfg: ScenarioConfig,
+    radii,
+    policies,
+    workers: int = 1,
+    *,
+    uplink: bool = True,
+    downlink: bool = True,
+) -> list[list[tuple[Estimate | None, Estimate | None]]]:
+    """Uplink success and silencing-area coverage at every (radius, policy) point.
 
-
-def _run_chunked(chunk_fn, cfg: ScenarioConfig, policy: SilencingPolicy, workers: int) -> tuple[int, int]:
+    Returns grid[k][j] = (uplink, downlink) estimates for radii[k] and
+    policies[j]; a link not asked for is None. Every point is scored on the
+    same realizations (common random numbers), each sampled once per trial,
+    and the counts equal those of build_network + apply_policy +
+    uplink_trial / downlink_trial at cfg with silencing_radius = radii[k].
+    """
+    radii, policies = tuple(radii), tuple(policies)
+    for r_s in radii:
+        replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
+    regions = tuple(_silencing_annulus(cfg, r_s) for r_s in radii) if downlink else None
     n = cfg.n_trials
     if workers <= 1:
-        return chunk_fn(cfg, policy, 0, n)
-    # Per-trial seeding makes any partition valid; summing integer counts in
-    # ascending chunk order keeps the result bit-identical for any worker count.
-    chunk = max(1, math.ceil(n / (workers * 4)))
-    bounds = [(s, min(s + chunk, n)) for s in range(0, n, chunk)]
-    args = [(cfg, policy, a, b) for a, b in bounds]
-    successes = holes = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for s, h in pool.map(chunk_fn, *zip(*args)):
-            successes += s
-            holes += h
-    return successes, holes
+        counts = _count_chunk(cfg, radii, policies, uplink, regions, 0, n)
+    else:
+        # Per-trial seeding makes any partition valid; summing integer counts
+        # in ascending chunk order keeps the result identical for any worker count.
+        chunk = max(1, math.ceil(n / (workers * 4)))
+        starts = range(0, n, chunk)
+        stops = [min(s + chunk, n) for s in starts]
+        counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
+                                 repeat(uplink), repeat(regions), starts, stops):
+                counts += part
+    return [
+        [
+            (
+                _estimate(int(c[0]), int(c[1]), cfg) if uplink else None,
+                _estimate(int(c[2]), int(c[3]), cfg) if downlink else None,
+            )
+            for c in row
+        ]
+        for row in counts
+    ]
 
 
 def estimate_success(
@@ -591,18 +745,11 @@ def estimate_success(
 ) -> Estimate:
     """Probability that the typical disaster-area device's uplink clears the
     SINR threshold, averaged over n_trials independent realizations."""
-    successes, holes = _run_chunked(_uplink_chunk, cfg, policy, workers)
-    return _estimate(successes, holes, cfg)
+    return estimate_grid(cfg, (cfg.silencing_radius,), (policy,), workers, downlink=False)[0][0][0]
 
 
 def estimate_silencing_area_coverage(
     cfg: ScenarioConfig, policy: SilencingPolicy, workers: int = 1
 ) -> Estimate:
     """Downlink coverage probability for a typical user inside the silencing annulus."""
-    if cfg.silencing_radius <= cfg.ring_outer_radius:
-        raise ScenarioError(
-            "silencing_radius",
-            "silencing annulus is empty; coverage inside it is undefined",
-        )
-    successes, holes = _run_chunked(_downlink_chunk, cfg, policy, workers)
-    return _estimate(successes, holes, cfg)
+    return estimate_grid(cfg, (cfg.silencing_radius,), (policy,), workers, uplink=False)[0][0][1]

@@ -1,20 +1,16 @@
 """Parameter sweeps over silencing factor and radius, and the linear
 interference-vs-coverage trade-off optimizer.
 
-Every grid point reuses the scenario's master seed, so the whole table is
-evaluated under common random numbers and the exact per-trial orderings of
-the Monte Carlo engine hold row to row.
+The whole grid is one call of the Monte Carlo engine's grid evaluator: each
+trial is sampled once and scored at every point, so the table is evaluated
+under common random numbers and the exact per-trial orderings of the engine
+hold row to row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .netsim import (
-    ScenarioConfig,
-    SilencingPolicy,
-    estimate_silencing_area_coverage,
-    estimate_success,
-)
+from .netsim import ScenarioConfig, SilencingPolicy, estimate_grid
 
 __all__ = [
     "SweepGrid",
@@ -88,23 +84,18 @@ def sweep(
     """One row per (rho, silencing_radius) grid point, in grid order.
 
     Rows iterate rho-major (all radii for the first rho, then the next).
-    The same master seed is reused at every point, so p_disaster is exactly
-    non-increasing in rho along a fixed radius and exactly non-decreasing
-    in radius at rho = 0.
+    Every point is scored on the same realizations, each sampled once per
+    trial, so p_disaster is exactly non-increasing in rho along a fixed
+    radius and exactly non-decreasing in radius at rho = 0. A radius outside
+    (disaster_radius + active_ring_width, sim_radius] raises ScenarioError:
+    at the lower end the silencing area is empty.
     """
-    for r_s in grid.silencing_radii:
-        if r_s < cfg.ring_outer_radius:
-            raise ValueError(
-                f"silencing radius {r_s} lies inside the active ring "
-                f"(outer edge {cfg.ring_outer_radius})"
-            )
+    policies = [SilencingPolicy.partial(rho) for rho in grid.rho_values]
+    points = estimate_grid(cfg, grid.silencing_radii, policies, workers)
     rows = []
-    for rho in grid.rho_values:
-        policy = SilencingPolicy.partial(rho)
-        for r_s in grid.silencing_radii:
-            cfg_rs = replace(cfg, silencing_radius=r_s)
-            p_dis = estimate_success(cfg_rs, policy, workers=workers)
-            p_sil = estimate_silencing_area_coverage(cfg_rs, policy, workers=workers)
+    for j, rho in enumerate(grid.rho_values):
+        for k, r_s in enumerate(grid.silencing_radii):
+            p_dis, p_sil = points[k][j]
             rows.append(
                 SweepRow(
                     rho=rho,

@@ -18,7 +18,7 @@ import yaml
 
 from .acb import AccessClass, AcdcProfile
 from .channel import ChannelParams, db_to_linear, dbm_to_watts
-from .netsim import AerialTier, ScenarioConfig, ScenarioError, SilencingPolicy
+from .netsim import SEED_LIMIT, AerialTier, ScenarioConfig, ScenarioError, SilencingPolicy
 from .planner import SweepGrid, TradeoffWeights
 from .satwet import ChargingModel, SatWetParams
 
@@ -347,6 +347,8 @@ def load_scenario(
         n_trials = trials_override
     if n_trials < 1:
         raise ScenarioError("n_trials", f"must be >= 1, got {n_trials}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ScenarioError("seed", f"must be in [0, 2^64), got {seed}")
 
     silencing = None
     if raw.get("silencing") is not None:

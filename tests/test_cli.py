@@ -232,6 +232,15 @@ def test_schema_violation_names_field(tmp_path, capsys):
     assert "silencing_radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_exits_2_naming_seed(tmp_path, capsys, seed):
+    scenario = write(tmp_path, ACB_SCENARIO)
+    out = tmp_path / "acb.csv"
+    assert run(["acb-run", "--scenario", scenario, "--out", out, "--seed", seed]) == 2
+    assert "invalid scenario field seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_subcommand_without_matching_section(tmp_path, capsys):
     scenario = write(tmp_path, SATWET_SCENARIO)
     assert run(["silencing-run", "--scenario", scenario, "--out", tmp_path / "x.csv"]) == 2

@@ -1,0 +1,235 @@
+"""The one-pass grid evaluator against the per-point reference kernels.
+
+estimate_grid samples each trial once and scores every (silencing radius,
+policy) point from that realization. Its counts must equal, trial for
+trial, what build_network + apply_policy + uplink_trial / downlink_trial
+give when each point is scored on its own.
+"""
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from disastersim import netsim
+from disastersim.channel import ChannelParams
+from disastersim.netsim import (
+    STREAM_DOWNLINK,
+    STREAM_UPLINK,
+    AerialTier,
+    ScenarioConfig,
+    ScenarioError,
+    SilencingPolicy,
+    apply_policy,
+    build_network,
+    downlink_trial,
+    estimate_grid,
+    estimate_success,
+    trial_rng,
+    uplink_trial,
+)
+from disastersim.planner import SweepGrid, sweep
+
+POLICIES = (
+    SilencingPolicy.none(),
+    SilencingPolicy.partial(0.4),
+    SilencingPolicy.complete(),
+    SilencingPolicy.spectrum_split(),
+    SilencingPolicy.partial(0.0),
+    SilencingPolicy.partial(1.0),
+)
+
+
+def reference_counts(cfg: ScenarioConfig, radii, policies) -> np.ndarray:
+    """[radius, policy, (up successes, up holes, down successes, down holes)],
+    each point scored on its own realization with the reference kernels."""
+    counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
+    for t in range(cfg.n_trials):
+        for k, r_s in enumerate(radii):
+            cfg_k = dataclasses.replace(cfg, silencing_radius=r_s)
+            net = build_network(cfg_k, t)
+            for j, policy in enumerate(policies):
+                policied = apply_policy(net, policy)
+                up = uplink_trial(policied, cfg_k, trial_rng(cfg.master_seed, t, STREAM_UPLINK))
+                down = downlink_trial(policied, cfg_k, policy, trial_rng(cfg.master_seed, t, STREAM_DOWNLINK))
+                counts[k, j] += (up.success, up.coverage_hole, down.success, down.coverage_hole)
+    return counts
+
+
+def assert_grid_matches(cfg, radii, policies, workers):
+    expected = reference_counts(cfg, radii, policies)
+    grid = estimate_grid(cfg, radii, policies, workers)
+    n = cfg.n_trials
+    for k in range(len(radii)):
+        for j in range(len(policies)):
+            up, down = grid[k][j]
+            s_up, h_up, s_down, h_down = (int(c) for c in expected[k, j])
+            assert (up.value, up.n_coverage_holes) == (s_up / n, h_up), (radii[k], policies[j])
+            assert (down.value, down.n_coverage_holes) == (s_down / n, h_down), (radii[k], policies[j])
+    return expected
+
+
+def base_cfg(**overrides):
+    base = dict(
+        bs_density=1e-6,
+        bs_survival_prob=0.5,
+        device_tx_power=1.0,
+        bs_tx_power=1.0,
+        silencing_radius=9000.0,
+        sim_radius=14000.0,
+        channel=ChannelParams(path_loss_exponent=3.5, sinr_threshold=0.1),
+        n_trials=40,
+        master_seed=2024,
+    )
+    base.update(overrides)
+    return ScenarioConfig(**base)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_grid_equals_per_point_reference(workers):
+    cfg = base_cfg(channel=ChannelParams(path_loss_exponent=3.5, sinr_threshold=0.3, noise_power=1e-14))
+    radii = (4000.0, 9000.0, 14000.0)  # 14000 = sim_radius: no outer stations
+    expected = assert_grid_matches(cfg, radii, POLICIES, workers)
+    # the grid is not degenerate: policies and radii actually move the counts
+    assert len({int(c) for c in expected[:, :, 0].ravel()}) > 2
+    assert len({int(c) for c in expected[:, :, 2].ravel()}) > 2
+
+
+def test_grid_equals_reference_with_aerial_tier():
+    cfg = base_cfg(aerial=AerialTier(density=2e-6, altitude=300.0, tx_power=0.5), n_trials=30)
+    assert_grid_matches(cfg, (5000.0, 9000.0), POLICIES, workers=1)
+
+
+def test_grid_equals_reference_with_coverage_holes():
+    # No station survives in the disaster disk and the ring is often empty,
+    # so the uplink has coverage holes; spectrum_split leaves downlink users
+    # without a server whenever the silencing zone is empty.
+    cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=60)
+    expected = assert_grid_matches(cfg, (3500.0, 9000.0), POLICIES, workers=2)
+    assert expected[:, :, 1].min() > 0
+    assert expected[0, 3, 3] > 0
+
+
+def test_grid_equals_reference_without_outer_stations():
+    cfg = base_cfg(silencing_radius=14000.0, sim_radius=14000.0, n_trials=30)
+    assert_grid_matches(cfg, (14000.0,), POLICIES, workers=1)
+
+
+def test_grid_equals_reference_with_silent_stations():
+    # Zero station power: every downlink signal is 0, so with no noise every
+    # silencing-area user is a coverage hole, and every uplink succeeds.
+    cfg = base_cfg(bs_tx_power=0.0, n_trials=20)
+    expected = assert_grid_matches(cfg, (6000.0,), POLICIES, workers=1)
+    assert np.all(expected[:, :, 0] == 20)
+    assert np.all(expected[:, :, 3] == 20)
+
+
+def test_grid_samples_each_trial_once(monkeypatch):
+    calls = []
+    original = netsim._sample_trial
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(netsim, "_sample_trial", counting)
+    cfg = base_cfg(n_trials=25)
+    sweep(cfg, SweepGrid((0.0, 0.5, 1.0), (4000.0, 9000.0)))
+    assert len(calls) == 25
+
+
+def test_empty_annulus_rejected_before_sampling(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled a trial before validating the radii")
+
+    monkeypatch.setattr(netsim, "_sample_trial", fail)
+    cfg = base_cfg()
+    with pytest.raises(ScenarioError) as err:
+        sweep(cfg, SweepGrid((0.0, 1.0), (2600.0, 9000.0)))
+    assert err.value.field == "silencing_radius"
+
+
+def test_radius_outside_sim_radius_rejected():
+    with pytest.raises(ScenarioError) as err:
+        estimate_grid(base_cfg(), (9000.0, 15000.0), POLICIES)
+    assert err.value.field == "sim_radius"
+
+
+def test_uplink_needs_no_silencing_annulus():
+    # r_s on the ring's outer edge leaves no silencing area, but the uplink
+    # is still defined there (every policy acts on an empty zone).
+    cfg = base_cfg(silencing_radius=2600.0, n_trials=30)
+    none = estimate_success(cfg, SilencingPolicy.none())
+    assert estimate_success(cfg, SilencingPolicy.complete()) == none
+    (((up, down),),) = estimate_grid(cfg, (2600.0,), (SilencingPolicy.none(),), downlink=False)
+    assert up == none and down is None
+
+
+# ---------------------------------------------------------------------------
+# properties the docstrings promise, on small random configurations
+# ---------------------------------------------------------------------------
+
+RHOS = (0.0, 0.3, 0.7, 1.0)
+
+
+@st.composite
+def small_configs(draw):
+    disaster = draw(st.floats(300.0, 2000.0))
+    ring = draw(st.floats(100.0, 800.0))
+    inner = disaster + ring
+    span = draw(st.floats(500.0, 8000.0))
+    fractions = sorted(draw(st.sets(st.floats(0.05, 1.0), min_size=1, max_size=3)))
+    radii = tuple(sorted({inner + f * span for f in fractions}))
+    noise = draw(st.sampled_from([0.0, 1e-15, 1e-12]))
+    cfg = ScenarioConfig(
+        disaster_radius=disaster,
+        active_ring_width=ring,
+        silencing_radius=radii[-1],
+        sim_radius=inner + span,
+        bs_density=draw(st.floats(1e-7, 3e-6)),
+        bs_survival_prob=draw(st.floats(0.0, 1.0)),
+        device_tx_power=draw(st.floats(0.01, 1.0)),
+        bs_tx_power=draw(st.floats(0.01, 10.0)),
+        channel=ChannelParams(
+            path_loss_exponent=draw(st.floats(2.5, 4.5)),
+            sinr_threshold=draw(st.floats(0.01, 10.0)),
+            noise_power=noise,
+        ),
+        n_trials=draw(st.integers(1, 25)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+    return cfg, radii
+
+
+PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@PROPERTY_SETTINGS
+@given(small_configs())
+def test_property_p_disaster_monotone_in_rho_and_radius(case):
+    cfg, radii = case
+    grid = estimate_grid(cfg, radii, [SilencingPolicy.partial(rho) for rho in RHOS], downlink=False)
+    p = [[up.value for up, _ in row] for row in grid]
+    for row in p:
+        assert all(a >= b for a, b in zip(row, row[1:]))  # non-increasing in rho
+    at_zero = [row[0] for row in p]
+    assert all(a <= b for a, b in zip(at_zero, at_zero[1:]))  # non-decreasing in radius
+
+
+@PROPERTY_SETTINGS
+@given(small_configs())
+def test_property_uplink_policy_identities(case):
+    cfg, radii = case
+    policies = (SilencingPolicy.complete(), SilencingPolicy.partial(0.0), SilencingPolicy.spectrum_split())
+    for row in estimate_grid(cfg, radii, policies, downlink=False):
+        complete, partial0, split = (up for up, _ in row)
+        assert complete == partial0 == split
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(small_configs())
+def test_property_counts_independent_of_workers(case):
+    cfg, radii = case
+    policies = (SilencingPolicy.none(), SilencingPolicy.partial(0.5), SilencingPolicy.spectrum_split())
+    assert estimate_grid(cfg, radii, policies, workers=2) == estimate_grid(cfg, radii, policies, workers=1)

@@ -63,12 +63,19 @@ def unit_cfg(**overrides):
         ("device_tx_power", -1.0),
         ("bs_tx_power", -2.0),
         ("n_trials", 0),
+        ("master_seed", -1),
+        ("master_seed", 2**64),
     ],
 )
 def test_config_validation_names_field(field, value):
     with pytest.raises(ScenarioError) as err:
         unit_cfg(**{field: value})
     assert err.value.field == field
+
+
+def test_largest_seed_accepted():
+    cfg = unit_cfg(master_seed=2**64 - 1, n_trials=5)
+    assert estimate_success(cfg, SilencingPolicy.none()).master_seed == 2**64 - 1
 
 
 def test_policy_validation():

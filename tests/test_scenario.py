@@ -40,6 +40,24 @@ def test_overrides(tmp_path):
     assert doc.silencing.config.n_trials == 7
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_out_of_range_seed_is_named(tmp_path, seed):
+    text = MINIMAL_SILENCING.replace("seed: 5", f"seed: {seed}")
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert err.value.field == "seed"
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, MINIMAL_SILENCING), seed_override=seed)
+    assert err.value.field == "seed"
+
+
+def test_largest_seed_accepted(tmp_path):
+    text = MINIMAL_SILENCING.replace("seed: 5", f"seed: {2**64 - 1}")
+    assert load_scenario(write(tmp_path, text)).silencing.config.master_seed == 2**64 - 1
+    doc = load_scenario(write(tmp_path, MINIMAL_SILENCING), seed_override=2**64 - 1)
+    assert doc.seed == 2**64 - 1
+
+
 def test_policy_parsing(tmp_path):
     doc = load_scenario(
         write(
