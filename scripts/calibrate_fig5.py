@@ -27,7 +27,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from disastersim.channel import ChannelParams
-from disastersim.netsim import ScenarioConfig, SilencingPolicy, estimate_success
+from disastersim.netsim import ScenarioConfig, SilencingPolicy, estimate_grid, estimate_success
 from disastersim.scenario import load_scenario
 
 
@@ -45,6 +45,11 @@ def make_config(density, survival, alpha, radius, beta, n_trials, seed):
         n_trials=n_trials,
         master_seed=seed,
     )
+
+
+def uplink_ladder(cfg, policies):
+    """Uplink estimates for every policy at cfg's silencing radius, in one pass."""
+    return [up for up, _ in estimate_grid(cfg, (cfg.silencing_radius,), policies, downlink=False)[0]]
 
 
 def solve_beta(density, survival, alpha, radius, n_trials, seed, target=0.58):
@@ -71,8 +76,8 @@ def stage_coarse(n_trials, seed):
                 radius = 12000.0
                 beta = solve_beta(density_km2 * 1e-6, survival, alpha, radius, n_trials, seed)
                 cfg = make_config(density_km2 * 1e-6, survival, alpha, radius, beta, n_trials, seed)
-                p_none = estimate_success(cfg, SilencingPolicy.none()).value
-                p_comp = estimate_success(cfg, SilencingPolicy.complete()).value
+                none, comp = uplink_ladder(cfg, (SilencingPolicy.none(), SilencingPolicy.complete()))
+                p_none, p_comp = none.value, comp.value
                 print(
                     f"{density_km2:>11} {survival:>9} {alpha:>6} {radius / 1000:>10} "
                     f"{beta:>7.3f} {p_none:>7.4f} {p_comp:>9.4f}"
@@ -97,8 +102,7 @@ def stage_verify(scenario_path, trials_override):
     doc = load_scenario(scenario_path, trials_override=trials_override)
     cfg = doc.silencing.config
     print(f"scenario {doc.name}: n_trials={cfg.n_trials} seed={cfg.master_seed}")
-    for policy in doc.silencing.policies:
-        est = estimate_success(cfg, policy)
+    for policy, est in zip(doc.silencing.policies, uplink_ladder(cfg, doc.silencing.policies)):
         label = policy.kind if policy.kind != "partial" else f"partial({policy.rho})"
         print(
             f"{label:>16}: {est.value:.5f} +- {est.ci_halfwidth:.5f} "

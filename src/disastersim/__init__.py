@@ -6,11 +6,11 @@ before it can transmit a payload, and how access-class barring reshapes the
 load on a congested cell.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .acb import AccessClass, AcdcProfile, admitted_load, simulate_access
-from .channel import ChannelParams, LinkSample, compute_sinr, friis_gain, path_gain
-from .geometry import Annulus, Point2D, disk, nearest_point, sample_ppp, thin
+from .channel import ChannelParams, friis_gain, path_gain
+from .geometry import Annulus, disk, sample_ppp
 from .netsim import (
     AerialTier,
     Estimate,
@@ -39,8 +39,8 @@ from .satwet import (
 __all__ = [
     "__version__",
     "AccessClass", "AcdcProfile", "admitted_load", "simulate_access",
-    "ChannelParams", "LinkSample", "compute_sinr", "friis_gain", "path_gain",
-    "Annulus", "Point2D", "disk", "nearest_point", "sample_ppp", "thin",
+    "ChannelParams", "friis_gain", "path_gain",
+    "Annulus", "disk", "sample_ppp",
     "AerialTier", "Estimate", "NetworkSnapshot", "ScenarioConfig", "ScenarioError",
     "SilencingPolicy", "apply_policy", "build_network", "estimate_grid",
     "estimate_silencing_area_coverage", "estimate_success", "uplink_trial",

@@ -1,5 +1,5 @@
-"""Radio propagation: dB conversions, power-law and free-space path gain,
-Rayleigh fading, and SINR."""
+"""Radio propagation: dB and dBm conversions, power-law path gain and
+free-space (Friis) gain."""
 from __future__ import annotations
 
 import math
@@ -10,15 +10,10 @@ import numpy as np
 __all__ = [
     "SPEED_OF_LIGHT",
     "ChannelParams",
-    "LinkSample",
-    "linear_to_db",
     "db_to_linear",
     "dbm_to_watts",
-    "watts_to_dbm",
     "path_gain",
     "friis_gain",
-    "sample_fading",
-    "compute_sinr",
 ]
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
@@ -52,26 +47,6 @@ class ChannelParams:
             raise ValueError("min_distance must be > 0")
 
 
-@dataclass(frozen=True)
-class LinkSample:
-    """One receiver-side power decomposition, all in watts."""
-
-    signal_power: float
-    interference_power: float
-    noise_power: float
-
-    def __post_init__(self):
-        if self.signal_power < 0 or self.interference_power < 0 or self.noise_power < 0:
-            raise ValueError("link powers must be >= 0")
-
-
-def linear_to_db(value: float) -> float:
-    """10 log10 of a linear power ratio; value must be positive."""
-    if value <= 0.0:
-        raise ValueError(f"linear value must be > 0 to convert to dB, got {value}")
-    return 10.0 * math.log10(value)
-
-
 def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
@@ -79,12 +54,6 @@ def db_to_linear(value_db: float) -> float:
 def dbm_to_watts(value_dbm: float) -> float:
     """dBm is referenced to 1 mW: 50 dBm = 100 W."""
     return 1e-3 * 10.0 ** (value_dbm / 10.0)
-
-
-def watts_to_dbm(value_w: float) -> float:
-    if value_w <= 0.0:
-        raise ValueError(f"power must be > 0 to convert to dBm, got {value_w}")
-    return 10.0 * math.log10(value_w / 1e-3)
 
 
 def path_gain(distance, params: ChannelParams):
@@ -113,23 +82,3 @@ def friis_gain(distance: float, frequency: float) -> float:
         raise ValueError(f"friis_gain requires frequency > 0, got {frequency}")
     wavelength = SPEED_OF_LIGHT / frequency
     return (wavelength / (4.0 * math.pi)) ** 2 / (distance * distance)
-
-
-def sample_fading(rng: np.random.Generator, size=None):
-    """Rayleigh small-scale fading as a unit-mean exponential power gain."""
-    return rng.exponential(size=size)
-
-
-def compute_sinr(link: LinkSample) -> float:
-    """signal / (interference + noise) as a linear ratio.
-
-    Returns +inf for a positive signal with zero interference and noise (the
-    interference-and-noise-free limit beats any finite threshold). All-zero
-    input has no defined SINR and raises.
-    """
-    denom = link.interference_power + link.noise_power
-    if denom == 0.0:
-        if link.signal_power == 0.0:
-            raise ValueError("SINR undefined: signal, interference, and noise are all zero")
-        return math.inf
-    return link.signal_power / denom

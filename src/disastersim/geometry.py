@@ -1,9 +1,9 @@
-"""Planar geometry primitives and homogeneous Poisson point process sampling.
+"""Origin-centred annuli and homogeneous Poisson point process sampling.
 
 All distances are double-precision meters; densities are points per square
-meter. A point set is a float64 array of shape (n, 2) whose row order is the
-generation order: that order is deterministic for a fixed generator state
-and is the tie-break key for nearest-point queries.
+meter. Every region is an annulus (a disk when r_inner = 0) centred at the
+origin. A point set is a float64 array of shape (n, 2) whose row order is
+the generation order, deterministic for a fixed generator state.
 """
 from __future__ import annotations
 
@@ -13,38 +13,18 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Point2D",
     "Annulus",
     "disk",
-    "region_area",
     "sample_uniform",
     "sample_ppp",
     "sample_ppp_radial",
-    "thin",
-    "nearest_point",
 ]
 
 
 @dataclass(frozen=True)
-class Point2D:
-    """A point in the plane, coordinates in meters."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"Point2D coordinates must be finite, got ({self.x}, {self.y})")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
-
-
-@dataclass(frozen=True)
 class Annulus:
-    """Closed annulus r_inner <= ||p - center|| <= r_outer; a disk when r_inner = 0."""
+    """Closed annulus r_inner <= ||p|| <= r_outer; a disk when r_inner = 0."""
 
-    center: Point2D
     r_inner: float
     r_outer: float
 
@@ -61,25 +41,24 @@ class Annulus:
         return math.pi * (self.r_outer**2 - self.r_inner**2)
 
 
-def disk(radius: float, center: Point2D = Point2D(0.0, 0.0)) -> Annulus:
+def disk(radius: float) -> Annulus:
     """Disk of the given radius, the r_inner = 0 special case of an annulus."""
-    return Annulus(center, 0.0, radius)
+    return Annulus(0.0, radius)
 
 
-def region_area(region: Annulus) -> float:
-    """Area of the region in square meters."""
-    return region.area
+def _polar_to_xy(r: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+    theta = 2.0 * math.pi * u_angle
+    pts = np.empty((r.size, 2))
+    pts[:, 0] = r * np.cos(theta)
+    pts[:, 1] = r * np.sin(theta)
+    return pts
 
 
 def _place(region: Annulus, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
     # Inverse CDF on the radius makes placement exact and rejection-free:
     # P(r <= x) is proportional to x^2 - r_inner^2 on an annulus.
     r = np.sqrt(region.r_inner**2 + u_radius * (region.r_outer**2 - region.r_inner**2))
-    theta = 2.0 * math.pi * u_angle
-    pts = np.empty((r.size, 2))
-    pts[:, 0] = region.center.x + r * np.cos(theta)
-    pts[:, 1] = region.center.y + r * np.sin(theta)
-    return pts
+    return _polar_to_xy(r, u_angle)
 
 
 def sample_uniform(region: Annulus, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -136,32 +115,4 @@ def sample_ppp_radial(
     u_angle = np.concatenate(angles)
     keep = measure <= target
     r = np.sqrt(region.r_inner**2 + measure[keep] / (density * math.pi))
-    theta = 2.0 * math.pi * u_angle[keep]
-    pts = np.empty((r.size, 2))
-    pts[:, 0] = region.center.x + r * np.cos(theta)
-    pts[:, 1] = region.center.y + r * np.sin(theta)
-    return pts
-
-
-def thin(points: np.ndarray, keep_prob: float, rng: np.random.Generator) -> np.ndarray:
-    """Retain each point independently with probability keep_prob, order preserved."""
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"keep_prob must be in [0, 1], got {keep_prob}")
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    mask = rng.random(pts.shape[0]) < keep_prob
-    return pts[mask]
-
-
-def nearest_point(query, candidates: np.ndarray) -> tuple[int, float] | None:
-    """Index and distance of the candidate closest to query.
-
-    Ties break to the lowest index. Returns None when there are no
-    candidates (no-serving-station condition; the caller decides semantics).
-    """
-    pts = np.asarray(candidates, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
-        return None
-    q = np.asarray(query, dtype=float).reshape(2)
-    d2 = (pts[:, 0] - q[0]) ** 2 + (pts[:, 1] - q[1]) ** 2
-    idx = int(np.argmin(d2))
-    return idx, float(math.sqrt(d2[idx]))
+    return _polar_to_xy(r, u_angle[keep])

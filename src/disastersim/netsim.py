@@ -46,7 +46,7 @@ import numpy as np
 
 from . import geometry
 from .channel import ChannelParams, dbm_to_watts, path_gain
-from .geometry import Annulus, Point2D
+from .geometry import Annulus
 
 __all__ = [
     "Zone",
@@ -76,7 +76,13 @@ class ScenarioError(ValueError):
 
     def __init__(self, field_name: str, message: str):
         self.field = field_name
+        self._message = message
         super().__init__(f"{field_name}: {message}")
+
+    def __reduce__(self):
+        # Rebuild through __init__, so an error raised in a pool worker
+        # reaches the parent as the same ScenarioError.
+        return type(self), (self.field, self._message)
 
 
 class Zone(IntEnum):
@@ -310,10 +316,9 @@ def _estimate(successes: int, holes: int, cfg: ScenarioConfig) -> Estimate:
 
 @lru_cache(maxsize=32)
 def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
-    origin = Point2D(0.0, 0.0)
     disaster = geometry.disk(disaster_radius)
-    ring = Annulus(origin, disaster_radius, ring_outer)
-    exterior = Annulus(origin, ring_outer, sim_radius) if sim_radius > ring_outer else None
+    ring = Annulus(disaster_radius, ring_outer)
+    exterior = Annulus(ring_outer, sim_radius) if sim_radius > ring_outer else None
     return disaster, ring, exterior
 
 
@@ -533,7 +538,7 @@ def _silencing_annulus(cfg: ScenarioConfig, silencing_radius: float) -> Annulus:
             "silencing_radius",
             "silencing annulus is empty; coverage inside it is undefined",
         )
-    return Annulus(Point2D(0.0, 0.0), cfg.ring_outer_radius, silencing_radius)
+    return Annulus(cfg.ring_outer_radius, silencing_radius)
 
 
 def downlink_trial(

@@ -9,9 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-from .channel import SPEED_OF_LIGHT, friis_gain
+from .channel import friis_gain
 
 __all__ = [
     "EARTH_RADIUS",
@@ -95,34 +93,24 @@ def _central_angle(p: SatWetParams, elevation_deg: float) -> float:
     return math.acos(p.earth_radius * math.cos(e) / (p.earth_radius + p.altitude)) - e
 
 
-def pass_average_power(p: SatWetParams, steps: int = 1000) -> float:
+def pass_average_power(p: SatWetParams) -> float:
     """Harvested power averaged over one direct-overhead pass.
 
     The satellite crosses from min_elevation up through zenith and back on a
     circular orbit, so time-averaging is an average over the Earth-center
-    angle. Trapezoidal integration with at least 1000 steps; doubling the
-    step count moves the result by well under 0.1%.
+    angle phi of P_zenith * h^2 / d(phi)^2. The slant range squared is
+    d^2 = a - b cos(phi) with a = R^2 + (R+h)^2 and b = 2R(R+h), whose
+    integral has the closed form
+    int_0^phi dphi / (a - b cos phi) = (2 / (h (2R+h))) atan(((2R+h)/h) tan(phi/2)).
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     phi_max = _central_angle(p, p.min_elevation)
     if phi_max <= 0.0:
         # min_elevation = 90 degrees degenerates to the zenith point
         return zenith_harvested_power(p)
-    wavelength = SPEED_OF_LIGHT / p.frequency
-    k = (
-        p.rf_to_dc_efficiency
-        * p.sat_tx_power
-        * p.sat_tx_gain
-        * p.ground_rx_gain
-        * (wavelength / (4.0 * math.pi)) ** 2
-    )
-    r = p.earth_radius
-    a = r * r + (r + p.altitude) ** 2
-    b = 2.0 * r * (r + p.altitude)
-    phi = np.linspace(0.0, phi_max, steps + 1)
-    d_squared = a - b * np.cos(phi)  # slant range squared along the arc
-    return float(np.trapezoid(k / d_squared, phi)) / phi_max
+    h = p.altitude
+    far = 2.0 * p.earth_radius + h  # a - b = h^2 and a + b = far^2
+    integral = (2.0 / (h * far)) * math.atan((far / h) * math.tan(phi_max / 2.0))
+    return zenith_harvested_power(p) * h * h * integral / phi_max
 
 
 def charging_time(model: ChargingModel, harvested_power: float) -> float:

@@ -3,23 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from conftest import disaster_station, snapshot_from_stations
 from disastersim.channel import (
     SPEED_OF_LIGHT,
     ChannelParams,
-    LinkSample,
-    compute_sinr,
     db_to_linear,
     dbm_to_watts,
     friis_gain,
-    linear_to_db,
     path_gain,
-    sample_fading,
-    watts_to_dbm,
 )
+from disastersim.netsim import Band, ScenarioConfig, downlink_sinr
 
 
 def test_unity_is_zero_db():
-    assert linear_to_db(1.0) == 0.0
+    assert db_to_linear(0.0) == 1.0
+    assert dbm_to_watts(0.0) == 1e-3
 
 
 def test_minus_ten_db_is_one_tenth():
@@ -28,21 +26,13 @@ def test_minus_ten_db_is_one_tenth():
 
 def test_fifty_dbm_is_hundred_watts():
     assert dbm_to_watts(50.0) == pytest.approx(100.0, rel=1e-12)
-    assert watts_to_dbm(100.0) == pytest.approx(50.0, abs=1e-12)
 
 
 def test_db_round_trip_forty_orders():
-    for x in np.logspace(-20.0, 20.0, 81):
-        assert abs(db_to_linear(linear_to_db(x)) - x) <= 1e-12 * x
-
-
-def test_db_domain_errors():
-    with pytest.raises(ValueError):
-        linear_to_db(0.0)
-    with pytest.raises(ValueError):
-        linear_to_db(-3.0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(0.0)
+    # Independent inverse: 10 log10 of the linear value recovers the dB value.
+    for x_db in np.linspace(-200.0, 200.0, 81):
+        assert abs(10.0 * math.log10(db_to_linear(x_db)) - x_db) <= 1e-12 * max(1.0, abs(x_db))
+        assert dbm_to_watts(x_db) == pytest.approx(1e-3 * db_to_linear(x_db), rel=1e-12)
 
 
 def test_path_gain_reference_distance():
@@ -92,6 +82,24 @@ def test_channel_params_validation():
         ChannelParams(noise_power=-1.0)
 
 
+def test_sinr_single_interferer_hand_case():
+    # serving at d=1, interferer at d=2, alpha=4, unit power and fading: 1 / 2^-4 = 16
+    net = snapshot_from_stations([disaster_station(1.0, 0.0), disaster_station(-2.0, 0.0)])
+    cfg = ScenarioConfig(channel=ChannelParams(path_loss_exponent=4.0))
+    sinr, serving = downlink_sinr(net, cfg, np.zeros(2), Band.DISASTER_BAND, 1.0, np.ones(2))
+    assert serving == 0
+    assert sinr == pytest.approx(16.0, rel=1e-12)
+    assert 10.0 * math.log10(sinr) == pytest.approx(12.04, abs=0.01)
+
+
+def test_sinr_interference_and_noise_free_limit():
+    net = snapshot_from_stations([disaster_station(1.0, 0.0)])
+    cfg = ScenarioConfig(channel=ChannelParams(noise_power=0.0))
+    sinr, serving = downlink_sinr(net, cfg, np.zeros(2), Band.DISASTER_BAND, 1.0, np.ones(1))
+    assert serving == 0
+    assert sinr == math.inf
+
+
 def test_friis_unit_gain_distance():
     f = 868e6
     wavelength = SPEED_OF_LIGHT / f
@@ -118,54 +126,3 @@ def test_friis_domain_errors():
         friis_gain(0.0, 868e6)
     with pytest.raises(ValueError):
         friis_gain(100.0, 0.0)
-
-
-def test_fading_unit_mean():
-    rng = np.random.default_rng(100)
-    draws = sample_fading(rng, size=100_000)
-    assert abs(draws.mean() - 1.0) < 0.01
-
-
-def test_fading_unit_variance():
-    rng = np.random.default_rng(101)
-    draws = sample_fading(rng, size=100_000)
-    assert abs(draws.var() - 1.0) < 0.03
-
-
-def test_fading_exponential_tail():
-    # P[X > 2.3026] = exp(-2.3026) = 0.1000 for Exp(1)
-    rng = np.random.default_rng(102)
-    draws = sample_fading(rng, size=100_000)
-    assert abs((draws > 2.3026).mean() - 0.1) < 0.01
-
-
-def test_sinr_with_noise_only():
-    assert compute_sinr(LinkSample(1.0, 0.0, 0.1)) == pytest.approx(10.0, rel=1e-12)
-
-
-def test_sinr_single_interferer_hand_case():
-    # serving at d=1, interferer at d=2, alpha=4, unit fading: 1 / 2^-4 = 16
-    p = ChannelParams(path_loss_exponent=4.0)
-    link = LinkSample(path_gain(1.0, p), path_gain(2.0, p), 0.0)
-    sinr = compute_sinr(link)
-    assert sinr == pytest.approx(16.0, rel=1e-12)
-    assert 10.0 * math.log10(sinr) == pytest.approx(12.04, abs=0.01)
-
-
-def test_sinr_interference_and_noise_free_limit():
-    assert compute_sinr(LinkSample(1.0, 0.0, 0.0)) == math.inf
-
-
-def test_sinr_all_zero_is_undefined():
-    with pytest.raises(ValueError):
-        compute_sinr(LinkSample(0.0, 0.0, 0.0))
-
-
-def test_sinr_decreasing_in_interference():
-    values = [compute_sinr(LinkSample(1.0, i, 0.05)) for i in (0.0, 0.1, 0.5, 2.0)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_link_sample_rejects_negative_power():
-    with pytest.raises(ValueError):
-        LinkSample(-1.0, 0.0, 0.0)

@@ -2,50 +2,47 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from conftest import disaster_station, snapshot_from_stations
+from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import (
     Annulus,
-    Point2D,
     disk,
-    nearest_point,
-    region_area,
     sample_ppp,
     sample_ppp_radial,
     sample_uniform,
-    thin,
 )
-
-ORIGIN = Point2D(0.0, 0.0)
-
-
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point2D(math.nan, 0.0)
-    with pytest.raises(ValueError):
-        Point2D(0.0, math.inf)
+from disastersim.netsim import Band, ScenarioConfig, downlink_sinr
 
 
 def test_annulus_validation():
     with pytest.raises(ValueError):
-        Annulus(ORIGIN, -1.0, 2.0)
+        Annulus(-1.0, 2.0)
     with pytest.raises(ValueError):
-        Annulus(ORIGIN, 2.0, 2.0)
+        Annulus(2.0, 2.0)
     with pytest.raises(ValueError):
-        Annulus(ORIGIN, 3.0, 1.0)
+        Annulus(3.0, 1.0)
+    with pytest.raises(ValueError):
+        Annulus(0.0, math.inf)
+    with pytest.raises(ValueError):
+        Annulus(math.nan, 1.0)
+    assert disk(5.0) == Annulus(0.0, 5.0)
 
 
 def test_region_area_unit_disk():
-    assert region_area(disk(1.0)) == pytest.approx(math.pi, rel=1e-12)
+    assert disk(1.0).area == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_region_area_disaster_disk():
     # pi * 2000^2
-    assert region_area(disk(2000.0)) == pytest.approx(1.2566370614359172e7, rel=1e-9)
+    assert disk(2000.0).area == pytest.approx(1.2566370614359172e7, rel=1e-9)
 
 
 def test_region_area_active_ring():
     # pi * (2600^2 - 2000^2)
-    assert region_area(Annulus(ORIGIN, 2000.0, 2600.0)) == pytest.approx(8.670795723907828e6, rel=1e-9)
+    assert Annulus(2000.0, 2600.0).area == pytest.approx(8.670795723907828e6, rel=1e-9)
 
 
 def test_sample_ppp_zero_density_empty():
@@ -71,7 +68,7 @@ def test_sample_ppp_count_moments():
 
 
 def test_sample_ppp_points_inside_region():
-    region = Annulus(ORIGIN, 500.0, 1500.0)
+    region = Annulus(500.0, 1500.0)
     rng = np.random.default_rng(7)
     for _ in range(50):
         pts = sample_ppp(region, 5e-6, rng)
@@ -79,14 +76,6 @@ def test_sample_ppp_points_inside_region():
         assert np.all(r >= region.r_inner)
         assert np.all(r <= region.r_outer)
 
-
-def test_sample_ppp_offcenter_region():
-    region = Annulus(Point2D(300.0, -200.0), 0.0, 100.0)
-    rng = np.random.default_rng(8)
-    pts = sample_ppp(region, 1e-2, rng)
-    r = np.hypot(pts[:, 0] - 300.0, pts[:, 1] + 200.0)
-    assert pts.shape[0] > 0
-    assert np.all(r <= 100.0)
 
 
 def test_sample_ppp_deterministic_for_fixed_state():
@@ -96,7 +85,7 @@ def test_sample_ppp_deterministic_for_fixed_state():
 
 
 def test_radial_sampler_count_moments():
-    region = Annulus(ORIGIN, 2600.0, 20000.0)
+    region = Annulus(2600.0, 20000.0)
     lam_area = 4e-7 * region.area
     rng = np.random.default_rng(4321)
     counts = np.array([sample_ppp_radial(region, 4e-7, rng).shape[0] for _ in range(4000)])
@@ -106,25 +95,36 @@ def test_radial_sampler_count_moments():
 
 
 def test_radial_sampler_sorted_and_in_region():
-    region = Annulus(ORIGIN, 2600.0, 20000.0)
+    region = Annulus(2600.0, 20000.0)
     pts = sample_ppp_radial(region, 4e-7, np.random.default_rng(5))
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert np.all(np.diff(r) >= 0.0)
     assert np.all((r >= region.r_inner) & (r <= region.r_outer))
 
 
-def test_radial_sampler_nested_truncation_prefix():
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    r_inner=st.floats(0.0, 5000.0),
+    small_width=st.floats(1.0, 20000.0),
+    extra_width=st.floats(1.0, 30000.0),
+    density=st.floats(1e-8, 2e-6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(r_inner=2600.0, small_width=17400.0, extra_width=20000.0, density=4e-7, seed=17)
+def test_radial_sampler_nested_truncation_prefix(r_inner, small_width, extra_width, density, seed):
     # Growing r_outer with an identical generator state appends points
     # without disturbing the shared prefix.
-    small = sample_ppp_radial(Annulus(ORIGIN, 2600.0, 20000.0), 4e-7, np.random.default_rng(17))
-    big = sample_ppp_radial(Annulus(ORIGIN, 2600.0, 40000.0), 4e-7, np.random.default_rng(17))
-    assert big.shape[0] > small.shape[0]
+    r_small = r_inner + small_width
+    r_big = r_small + extra_width
+    small = sample_ppp_radial(Annulus(r_inner, r_small), density, np.random.default_rng(seed))
+    big = sample_ppp_radial(Annulus(r_inner, r_big), density, np.random.default_rng(seed))
+    assert big.shape[0] >= small.shape[0]
     assert np.array_equal(big[: small.shape[0]], small)
 
 
 def test_radial_sampler_uniform_angles_and_radius_law():
     # Radius^2 is uniform on [r_in^2, r_out^2] for a homogeneous process.
-    region = Annulus(ORIGIN, 1000.0, 3000.0)
+    region = Annulus(1000.0, 3000.0)
     rng = np.random.default_rng(31)
     pts = np.vstack([sample_ppp_radial(region, 2e-5, rng) for _ in range(20)])
     r2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2 - region.r_inner**2) / (
@@ -136,76 +136,25 @@ def test_radial_sampler_uniform_angles_and_radius_law():
     assert np.max(np.abs(emp - grid)) < 0.02
 
 
-def test_thin_keep_all_and_none():
-    pts = sample_ppp(disk(1000.0), 1e-5, np.random.default_rng(3))
-    assert np.array_equal(thin(pts, 1.0, np.random.default_rng(0)), pts)
-    assert thin(pts, 0.0, np.random.default_rng(0)).shape == (0, 2)
-
-
-def test_thin_preserves_relative_order():
-    pts = np.array([[float(i), 0.0] for i in range(200)])
-    kept = thin(pts, 0.5, np.random.default_rng(11))
-    assert np.all(np.diff(kept[:, 0]) > 0)
-
-
-def test_thin_binomial_count():
-    pts = np.zeros((10_000, 2))
-    rng = np.random.default_rng(21)
-    kept = thin(pts, 0.3, rng).shape[0]
-    sigma = math.sqrt(10_000 * 0.3 * 0.7)
-    assert abs(kept - 3000.0) < 3.0 * sigma
-
-
-def test_thin_composition_matches_product():
-    # thin(thin(S, a), b) ~ thin(S, a*b): compare mean counts at 3 sigma.
-    n, a, b, reps = 2000, 0.6, 0.5, 400
-    pts = np.zeros((n, 2))
-    rng = np.random.default_rng(33)
-    composed = np.array([thin(thin(pts, a, rng), b, rng).shape[0] for _ in range(reps)])
-    p = a * b
-    sigma_mean = math.sqrt(n * p * (1 - p) / reps)
-    assert abs(composed.mean() - n * p) < 3.0 * sigma_mean
-
-
-def test_thin_validates_probability():
-    with pytest.raises(ValueError):
-        thin(np.zeros((1, 2)), 1.5, np.random.default_rng(0))
-
-
-def test_nearest_point_345_triangle():
-    assert nearest_point((0.0, 0.0), np.array([[3.0, 4.0]])) == (0, pytest.approx(5.0))
-
-
-def test_nearest_point_tie_breaks_to_lowest_index():
-    idx, dist = nearest_point((0.0, 0.0), np.array([[1.0, 0.0], [-1.0, 0.0]]))
-    assert idx == 0
-    assert dist == pytest.approx(1.0)
-
-
-def test_nearest_point_hand_case():
-    idx, dist = nearest_point((0.0, 0.0), np.array([[0.0, 2.0], [1.0, 1.0], [5.0, 0.0]]))
-    assert idx == 1
-    assert dist == pytest.approx(math.sqrt(2.0), rel=1e-9)
-
-
-def test_nearest_point_empty_returns_none():
-    assert nearest_point((0.0, 0.0), np.empty((0, 2))) is None
-
-
-def test_nearest_point_permutation_covariant():
-    rng = np.random.default_rng(13)
-    pts = rng.normal(size=(40, 2))
-    base_idx, base_dist = nearest_point((0.1, -0.2), pts)
-    for _ in range(20):
-        perm = rng.permutation(40)
-        idx, dist = nearest_point((0.1, -0.2), pts[perm])
-        assert dist == pytest.approx(base_dist, rel=1e-12)
-        assert np.array_equal(pts[perm][idx], pts[base_idx])
-
 
 def test_sample_uniform_in_region():
-    region = Annulus(ORIGIN, 2600.0, 12000.0)
+    region = Annulus(2600.0, 12000.0)
     pts = sample_uniform(region, 500, np.random.default_rng(2))
     r = np.hypot(pts[:, 0], pts[:, 1])
     assert pts.shape == (500, 2)
     assert np.all((r >= region.r_inner) & (r <= region.r_outer))
+
+
+def test_nearest_point_hand_case():
+    # Of (0, 2), (1, 1), (5, 0) the nearest to the origin is (1, 1), at sqrt(2);
+    # with one unit-power transmitter alive, its SINR is path_gain(sqrt 2) / noise.
+    net = snapshot_from_stations(
+        [disaster_station(0.0, 2.0), disaster_station(1.0, 1.0), disaster_station(5.0, 0.0)]
+    )
+    ch = ChannelParams(path_loss_exponent=4.0, noise_power=1e-3)
+    cfg = ScenarioConfig(channel=ch)
+    sinr, serving = downlink_sinr(
+        net, cfg, np.zeros(2), Band.DISASTER_BAND, 1.0, np.array([0.0, 1.0, 0.0])
+    )
+    assert serving == 1
+    assert sinr == pytest.approx(path_gain(math.sqrt(2.0), ch) / 1e-3, rel=1e-9)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_config_validation_names_field(field, value):
     with pytest.raises(ScenarioError) as err:
         unit_cfg(**{field: value})
     assert err.value.field == field
+
+
+def test_scenario_error_pickle_round_trip():
+    err = ScenarioError("silencing_radius", "silencing annulus is empty")
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ScenarioError
+    assert back.field == "silencing_radius"
+    assert str(back) == str(err) == "silencing_radius: silencing annulus is empty"
 
 
 def test_largest_seed_accepted():
@@ -260,6 +269,22 @@ def test_uplink_no_interferers_is_infinite_sir():
     assert res.success and not res.coverage_hole
 
 
+def test_uplink_noise_only_sinr_hand_case():
+    # 10 m link, alpha 4, unit power and fading: signal 1e-4 W over 1e-5 W noise
+    net = snapshot_from_stations([disaster_station(10.0, 0.0)])
+    cfg = unit_cfg(channel=ChannelParams(path_loss_exponent=4.0, noise_power=1e-5))
+    sinr, serving = uplink_sinr(net, cfg, 1.0, np.ones(1))
+    assert serving == 0
+    assert sinr == pytest.approx(10.0, rel=1e-12)
+
+
+def test_uplink_sinr_decreasing_in_interference():
+    net = snapshot_from_stations([disaster_station(100.0, 0.0), outer_station(500.0, 0.0)])
+    cfg = unit_cfg(channel=ChannelParams(path_loss_exponent=4.0, noise_power=1e-12))
+    values = [uplink_sinr(net, cfg, 1.0, np.array([1.0, h]))[0] for h in (0.0, 0.1, 0.5, 2.0)]
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
 def test_uplink_only_exterior_stations_is_coverage_hole():
     net = snapshot_from_stations([silencing_station(3000.0, 0.0), outer_station(9000.0, 0.0)])
     res = uplink_trial(net, unit_cfg(), np.random.default_rng(0))
@@ -281,6 +306,12 @@ def test_uplink_nearest_station_serves():
     )
     _, serving = uplink_sinr(net, unit_cfg(), 1.0, np.ones(3))
     assert serving == 2
+
+
+def test_uplink_tie_breaks_to_lowest_index():
+    net = snapshot_from_stations([disaster_station(300.0, 0.0), disaster_station(-300.0, 0.0)])
+    _, serving = uplink_sinr(net, unit_cfg(), 1.0, np.ones(2))
+    assert serving == 0
 
 
 def test_uplink_silenced_station_neither_serves_nor_interferes():
@@ -541,6 +572,15 @@ def test_downlink_single_station_no_interference_always_covered():
     assert sinr == math.inf
     res = downlink_trial(net, cfg, SilencingPolicy.none(), np.random.default_rng(1))
     assert res.success
+
+
+def test_downlink_zero_signal_without_interference_or_noise_is_undefined():
+    # 0 / (0 + 0) has no SINR: the kernel reports no server instead of a value
+    cfg = unit_cfg(silencing_radius=12000.0)
+    net = snapshot_from_stations([silencing_station(3000.0, 0.0, tx_power=0.0)])
+    sinr, serving = downlink_sinr(net, cfg, np.array([4000.0, 0.0]), Band.DISASTER_BAND, 1.0, np.ones(1))
+    assert serving == -1
+    assert math.isnan(sinr)
 
 
 def test_downlink_coverage_estimate_runs():
