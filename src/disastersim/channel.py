@@ -66,7 +66,10 @@ def path_gain(distance, params: ChannelParams):
     if np.any(d <= 0.0):
         raise ValueError("path_gain requires distance > 0")
     d = np.maximum(d, params.min_distance)
-    gain = params.reference_gain_at_1m * d ** (-params.path_loss_exponent)
+    # The ufunc, not **: on a NumPy scalar ** calls the C library's pow,
+    # which can differ in the last bit from the vectorised loop that arrays
+    # use. With np.power, path_gain(d) == path_gain(array)[i] bit for bit.
+    gain = params.reference_gain_at_1m * np.power(d, -params.path_loss_exponent)
     return float(gain) if np.isscalar(distance) or gain.ndim == 0 else gain
 
 

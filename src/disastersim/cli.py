@@ -229,9 +229,12 @@ def main(argv=None) -> int:
         print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
         return EXIT_INPUT
     except yaml.YAMLError as exc:
+        # The problem and its mark only: str(exc) quotes the offending source
+        # line under the pure-Python parser but not under libyaml.
         mark = getattr(exc, "problem_mark", None)
         where = f"{args.scenario}:{mark.line + 1}:{mark.column + 1}" if mark else args.scenario
-        print(f"error: {where}: cannot parse scenario: {exc}", file=sys.stderr)
+        problem = getattr(exc, "problem", None) or str(exc)
+        print(f"error: {where}: cannot parse scenario: {problem}", file=sys.stderr)
         return EXIT_INPUT
     except ScenarioError as exc:
         print(f"error: invalid scenario field {exc}", file=sys.stderr)

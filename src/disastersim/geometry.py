@@ -83,12 +83,13 @@ def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.
     return _place(region, rng.random(count), rng.random(count))
 
 
-def sample_ppp_radial(
-    region: Annulus,
-    density: float,
-    rng: np.random.Generator,
-    block: int = 256,
-) -> np.ndarray:
+# Exponential gaps drawn per step of sample_ppp_radial. The block size
+# decides how the generator stream is consumed, so it is fixed: changing it
+# changes every realization that has exterior stations.
+_ARRIVAL_BLOCK = 256
+
+
+def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous PPP on the region, points in ascending-radius order.
 
     Equivalent in distribution to sample_ppp, but generated as a unit-rate
@@ -107,9 +108,9 @@ def sample_ppp_radial(
     angles: list[np.ndarray] = []
     total = 0.0
     while total < target:
-        g = rng.exponential(size=block)
+        g = rng.exponential(size=_ARRIVAL_BLOCK)
         gaps.append(g)
-        angles.append(rng.random(block))
+        angles.append(rng.random(_ARRIVAL_BLOCK))
         total += float(g.sum())
     measure = np.cumsum(np.concatenate(gaps))
     u_angle = np.concatenate(angles)

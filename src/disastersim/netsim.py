@@ -26,6 +26,20 @@ outer zones by radius, so a trial's realization is identical at every
 trial once and scores every point from that one realization, summing each
 point's interference over the same stations, in the same order and with
 the same products as the reference kernels uplink_sinr / downlink_sinr.
+
+estimate_grid walks its trials in blocks of _BLOCK. Per trial, it samples
+the realization with the reference sampler _sample_trial and draws the
+fading, resetting each stream once. Once per block, on the block's
+stations concatenated into ragged arrays, it builds the zone masks of
+every radius, computes distances, path gains and the received-power terms
+of every power factor, and finds each trial's serving station as the first
+index of its segment minimum (np.minimum.reduceat). Only each point's
+interference stays per trial: one 1-D pairwise sum, the same as the
+kernels' np.sum, because batched sums (np.add.reduceat, row sums over
+padded rows) add in another order and change last bits. The block is a
+small constant, because every batched array, and so peak memory, grows
+with it.
+
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
 and fading draws. These properties make policy, radius and truncation
@@ -127,14 +141,24 @@ class _StreamPool:
         key = np.array([master_seed, 0], dtype=np.uint64)
         self._engines = [np.random.Philox(key=key) for _ in range(_N_STREAMS)]
         self._generators = [np.random.Generator(e) for e in self._engines]
-        self._states = [e.state for e in self._engines]
+        # Lists, not arrays: the state setter reads the words one by one, and
+        # from lists a reset takes about a third of the time. buffer_pos 4
+        # marks the buffer as spent, so the next draw starts at the counter.
+        self._states = [
+            {
+                "bit_generator": "Philox",
+                "state": {"counter": [0, 0, 0, s], "key": [master_seed, 0]},
+                "buffer": [0, 0, 0, 0],
+                "buffer_pos": 4,
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            for s in range(_N_STREAMS)
+        ]
 
     def get(self, trial_index: int, substream: int) -> np.random.Generator:
         state = self._states[substream]
-        state["state"]["counter"][:] = (0, 0, trial_index, substream)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
+        state["state"]["counter"][2] = trial_index
         self._engines[substream].state = state
         return self._generators[substream]
 
@@ -564,137 +588,261 @@ def downlink_trial(
     return TrialResult(bool(sinr >= cfg.channel.sinr_threshold), False, float(sinr))
 
 
-class _Received:
-    """Power pf*tx*h*g that every station delivers at one receiver, for any
-    silencing-zone power factor pf (pf = 1 everywhere else).
+# Trials per block of the silencing engine. A block's stations, about 500
+# per trial on paper_fig5, are scored as one set of ragged arrays. Every
+# temporary array of a block grows with it, and so does the engine's peak
+# RSS, so the block is a small constant rather than an option.
+_BLOCK = 16
 
-    The terms, their product order and the sum over them in station order
-    (ndarray.sum is np.sum without the dispatch overhead) are those of
-    uplink_sinr and downlink_sinr, so each point's interference is
-    bit-identical to what the kernels compute on a policied snapshot.
+
+@dataclass
+class _Block:
+    """The realizations of consecutive trials as ragged station arrays.
+
+    Trial i owns entries bounds[i]:bounds[i + 1], ordered as in
+    _sample_trial: [disaster, ring, aerial, exterior by ascending radius].
     """
 
-    def __init__(self, tx_power: np.ndarray, fading: np.ndarray, gains: np.ndarray):
-        self.tx_power, self.fading, self.gains = tx_power, fading, gains
-        self.full = tx_power * fading * gains  # pf = 1, and 1.0 * tx == tx exactly
+    bounds: np.ndarray  # (n_trials + 1,)
+    x: np.ndarray  # (n,) m
+    y: np.ndarray  # (n,) m
+    alt: np.ndarray | None  # (n,) m; None without an aerial tier
+    tx: np.ndarray  # (n,) W
+    alive: np.ndarray  # (n,) bool
+    exterior: np.ndarray  # (n,) bool, silencing or outer zone
+    radius: np.ndarray  # (n,) m, hypot(x, y)
+    device: np.ndarray  # (n_trials, 2) m
+    up_fading: tuple | None  # (device link (n_trials,), stations (n,))
+    down_draws: tuple | None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
-    def interference(self, on: np.ndarray, sil_idx: np.ndarray, factor: float) -> float:
-        """Sum over the stations in `on`; factor-0 stations are never in `on`."""
-        terms = self.full
-        if 0.0 < factor < 1.0:
-            terms = self.full.copy()
-            terms[sil_idx] = factor * self.tx_power[sil_idx] * self.fading[sil_idx] * self.gains[sil_idx]
-        return float(terms[on].sum())
+    @property
+    def n_trials(self) -> int:
+        return self.bounds.size - 1
+
+    def spread(self, per_trial: np.ndarray) -> np.ndarray:
+        """A per-trial array with each entry repeated for every station of its trial."""
+        return np.repeat(per_trial, np.diff(self.bounds))
 
 
-def _score_uplink(cfg: ScenarioConfig, net: NetworkSnapshot, sil_masks, factors, rng, counts: np.ndarray):
-    """Add one trial's uplink (successes, holes) to counts[radius, policy].
+def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, uplink: bool, downlink: bool) -> _Block:
+    """Each trial's _sample_trial realization and the fading draws of
+    uplink_trial and downlink_trial, concatenated into one block.
+
+    Each Philox stream is reset once per trial and makes the kernels'
+    generator calls in order, merged where that gives the same numbers:
+    random() twice equals random(2), and exponential() then exponential(n)
+    equals exponential(n + 1). downlink_trial resets its stream at every
+    silencing radius and so draws the same user fractions and fading at
+    each; they are drawn once.
+    """
+    nets, up_g, up_h, down_u, down_g, down_h = [], [], [], [], [], []
+    for t in trials:
+        net = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
+        nets.append(net)
+        if uplink:
+            h = streams.get(t, STREAM_UPLINK).exponential(size=net.n_bs + 1)
+            up_g.append(h[0])
+            up_h.append(h[1:])
+        if downlink:
+            down = streams.get(t, STREAM_DOWNLINK)
+            down_u.append(down.random(2))  # sample_uniform: radius, then angle
+            h = down.exponential(size=net.n_bs + 1)
+            down_g.append(h[0])
+            down_h.append(h[1:])
+
+    bounds = np.zeros(len(nets) + 1, dtype=np.intp)
+    np.cumsum([net.n_bs for net in nets], out=bounds[1:])
+    xy = np.concatenate([net.xy for net in nets])
+    x, y = xy[:, 0], xy[:, 1]
+    return _Block(
+        bounds=bounds,
+        x=x,
+        y=y,
+        alt=np.concatenate([net.altitude for net in nets]) if cfg.aerial is not None else None,
+        tx=np.concatenate([net.tx_power for net in nets]),
+        alive=np.concatenate([net.alive for net in nets]),
+        exterior=np.concatenate([net.zone for net in nets]) >= Zone.SILENCING,
+        radius=np.hypot(x, y),
+        device=np.array([net.device_xy for net in nets]).reshape(-1, 2),
+        up_fading=(np.array(up_g), np.concatenate(up_h)) if uplink else None,
+        down_draws=(np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)) if downlink else None,
+    )
+
+
+def _distances(block: _Block, px: np.ndarray, py: np.ndarray, pz: np.ndarray | None = None) -> np.ndarray:
+    """3-D distance from every station to its trial's point, given per-trial
+    point coordinates (pz None: on the ground), with _distances_3d's
+    arithmetic. Without an aerial tier every altitude term is +0.0, and
+    adding it changes no bit, so it is left out.
+    """
+    planar_sq = (block.x - block.spread(px)) ** 2 + (block.y - block.spread(py)) ** 2
+    if block.alt is None:
+        return np.sqrt(planar_sq)
+    if pz is None:
+        return np.sqrt(planar_sq + block.alt * block.alt)
+    return np.sqrt(planar_sq + (block.alt - block.spread(pz)) ** 2)
+
+
+def _nearest(bounds: np.ndarray, candidates: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Per trial (stations bounds[i]:bounds[i + 1]), the candidate nearest to
+    the trial's point, given ascending candidate indices and their
+    distances d; the lowest index on a tie, as np.argmin picks it, and -1
+    for a trial without candidates."""
+    ends = np.searchsorted(candidates, bounds)
+    sizes = np.diff(ends)
+    nonempty = sizes > 0
+    nearest = np.full(bounds.size - 1, -1)
+    # reduceat gives a wrong value for an empty segment, so only nonempty ones
+    starts = ends[:-1][nonempty]
+    if starts.size:
+        best = np.minimum.reduceat(d, starts)
+        tied = d == np.repeat(best, sizes[nonempty])
+        nearest[nonempty] = np.minimum.reduceat(np.where(tied, candidates, bounds[-1]), starts)
+    return nearest
+
+
+def _trial_sums(bounds: np.ndarray, terms: np.ndarray, on: np.ndarray) -> np.ndarray:
+    """Per trial (stations bounds[i]:bounds[i + 1]), terms[on] summed over
+    that trial's stations alone.
+
+    Each sum is one 1-D reduction over the trial's terms in station order,
+    the pairwise sum np.sum takes in uplink_sinr and downlink_sinr. Batched
+    forms add in another order and change last bits: np.add.reduceat sums
+    sequentially, and a 2-D row sum needs zero-padded rows, which changes
+    each row's pairwise tree.
+    """
+    idx = np.flatnonzero(on)
+    kept = terms[idx]
+    ends = np.searchsorted(idx, bounds).tolist()
+    add = np.add.reduce
+    return np.array([add(kept[a:b]) for a, b in zip(ends, ends[1:])])
+
+
+def _silenced_terms(cfg: ScenarioConfig, full: np.ndarray, fading: np.ndarray, gains: np.ndarray,
+                    sil: np.ndarray, factor: float) -> np.ndarray:
+    """full, with each silencing-zone station's term at power factor `factor`.
+
+    The kernels form pf*tx*h*g left to right (pf = 1 elsewhere, and 1.0 * tx
+    == tx). Silencing-zone stations are terrestrial, so their pf*tx is the
+    one scalar factor * bs_tx_power.
+    """
+    return np.where(sil, factor * cfg.bs_tx_power * fading * gains, full)
+
+
+def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors, counts: np.ndarray):
+    """Add a block's uplink (successes, holes) to counts[radius, policy].
 
     factors[j] is policy j's power factor on the disaster band inside the
     silencing zone. The serving station depends on neither radius nor
-    policy, so it and its gains to every station are found once.
+    policy, so it and its gains to every station are found once per trial.
     """
     ch = cfg.channel
-    g = rng.exponential()
-    h = rng.exponential(size=net.n_bs)
-    candidates = np.flatnonzero(net.alive & (net.zone <= Zone.ACTIVE_RING))
-    if candidates.size == 0:
-        counts[:, :, 1] += 1
+    g, h = block.up_fading
+    candidates = np.flatnonzero(block.alive & ~block.exterior)
+    owner = np.searchsorted(block.bounds, candidates, side="right") - 1
+    planar_sq = (block.x[candidates] - block.device[owner, 0]) ** 2 + (block.y[candidates] - block.device[owner, 1]) ** 2
+    alt = block.alt[candidates] if block.alt is not None else 0.0
+    d_device = np.sqrt(planar_sq + alt * alt)
+    serving = _nearest(block.bounds, candidates, d_device)
+    served = serving >= 0
+    counts[:, :, 1] += block.n_trials - np.count_nonzero(served)
+    if not served.any():
         return
-    d_dev = _distances_3d(net.xy[candidates], net.altitude[candidates], net.device_xy, 0.0)
-    pick = int(np.argmin(d_dev))
-    serving = int(candidates[pick])
-    signal = cfg.device_tx_power * g * path_gain(max(float(d_dev[pick]), ch.min_distance), ch)
-    d = _distances_3d(net.xy, net.altitude, net.xy[serving], float(net.altitude[serving]))
-    received = _Received(net.tx_power, h, path_gain(np.maximum(d, ch.min_distance), ch))
-    on = net.alive.copy()
-    on[serving] = False
+    s = serving[served]
+    d0 = d_device[np.searchsorted(candidates, s)]
+    signal = cfg.device_tx_power * g[served] * path_gain(np.maximum(d0, ch.min_distance), ch)
+    src = np.maximum(serving, 0)  # a trial without a server is never scored
+    d = _distances(block, block.x[src], block.y[src], block.alt[src] if block.alt is not None else None)
+    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    full = block.tx * h * gains
+    on = block.alive.copy()
+    on[s] = False
+    interference = {}
     for k, sil in enumerate(sil_masks):
-        sil_idx = np.flatnonzero(sil)
-        unsilenced = on & ~sil
         for j, factor in enumerate(factors):
-            interference = received.interference(on if factor > 0.0 else unsilenced, sil_idx, factor)
-            denom = interference + ch.noise_power
-            counts[k, j, 0] += denom == 0.0 or signal / denom >= ch.sinr_threshold
+            key = (k, factor) if factor < 1.0 else factor  # factor 1 needs no zone
+            if key not in interference:
+                if factor == 0.0:
+                    terms, mask = full, on & ~sil
+                elif factor < 1.0:
+                    terms, mask = _silenced_terms(cfg, full, h, gains, sil, factor), on
+                else:
+                    terms, mask = full, on
+                interference[key] = _trial_sums(block.bounds, terms, mask)[served]
+            denom = interference[key] + ch.noise_power
+            counts[k, j, 0] += np.count_nonzero((denom == 0.0) | (signal / denom >= ch.sinr_threshold))
 
 
-def _downlink_server(on: np.ndarray, d: np.ndarray, ch: ChannelParams):
-    """Nearest station in `on` to the user, its path gain, and the other
-    stations in `on`; None when `on` is empty."""
-    candidates = np.flatnonzero(on)
-    if candidates.size == 0:
-        return None
-    serving = int(candidates[int(np.argmin(d[candidates]))])
-    others = on.copy()
-    others[serving] = False
-    return serving, path_gain(max(float(d[serving]), ch.min_distance), ch), others
-
-
-def _score_downlink(cfg: ScenarioConfig, net: NetworkSnapshot, sil: np.ndarray, policies, region: Annulus,
-                    rng, counts: np.ndarray):
-    """Add one trial's silencing-area (successes, holes) at one radius to counts[policy].
+def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policies, region: Annulus,
+                    counts: np.ndarray):
+    """Add a block's silencing-area (successes, holes) at one radius to counts[policy].
 
     The user and the fading depend on the radius only, so distances and
-    gains to every station are found once. The serving station depends only
-    on which stations transmit on the user's band: all of them, all but the
-    silenced ones, or (spectrum_split) only the retuned ones.
+    gains to every station are found once per trial. The serving station
+    depends only on which stations transmit on the user's band: all of
+    them, all but the silenced ones, or (spectrum_split) only the retuned
+    ones.
     """
     ch = cfg.channel
-    user = geometry.sample_uniform(region, 1, rng)[0]
-    g = rng.exponential()
-    h = rng.exponential(size=net.n_bs)
-    d = _distances_3d(net.xy, net.altitude, user, 0.0)
-    received = _Received(net.tx_power, h, path_gain(np.maximum(d, ch.min_distance), ch))
-    sil_idx = np.flatnonzero(sil)
-    servers = {}
+    user_u, g, h = block.down_draws
+    user = geometry._place(region, user_u[0], user_u[1])
+    d = _distances(block, user[:, 0], user[:, 1])
+    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    full = block.tx * h * gains
+    servers, interference = {}, {}
     for j, policy in enumerate(policies):
         factor = policy.silencing_power_factor
         if policy.kind == "spectrum_split":
-            key = "retuned"
+            band = "retuned"
         else:
-            key = "all" if factor > 0.0 else "unsilenced"
-        if key not in servers:
-            if key == "retuned":
-                on = net.alive & sil
-            elif key == "unsilenced":
-                on = net.alive & ~sil
+            band = "all" if factor > 0.0 else "unsilenced"
+        if band not in servers:
+            if band == "retuned":
+                on = block.alive & sil
+            elif band == "unsilenced":
+                on = block.alive & ~sil
             else:
-                on = net.alive
-            servers[key] = _downlink_server(on, d, ch)
-        if servers[key] is None:
-            counts[j, 1] += 1
-            continue
-        serving, gain, others = servers[key]
-        pf = factor if sil[serving] else 1.0
-        signal = pf * net.tx_power[serving] * g * gain
-        denom = received.interference(others, sil_idx, factor) + ch.noise_power
-        if denom == 0.0 and signal == 0.0:
-            counts[j, 1] += 1
-        else:
-            counts[j, 0] += denom == 0.0 or signal / denom >= ch.sinr_threshold
+                on = block.alive.copy()
+            candidates = np.flatnonzero(on)
+            serving = _nearest(block.bounds, candidates, d[candidates])
+            served = serving >= 0
+            s = serving[served]
+            on[s] = False
+            servers[band] = served, s, on
+        served, s, others = servers[band]
+        partial = 0.0 < factor < 1.0
+        key = (band, factor if partial else 1.0)
+        if key not in interference:
+            terms = _silenced_terms(cfg, full, h, gains, sil, factor) if partial else full
+            interference[key] = _trial_sums(block.bounds, terms, others)[served]
+        signal = np.where(sil[s], factor, 1.0) * block.tx[s] * g[served] * gains[s]
+        denom = interference[key] + ch.noise_power
+        silent = (denom == 0.0) & (signal == 0.0)
+        counts[j, 1] += block.n_trials - s.size + np.count_nonzero(silent)
+        counts[j, 0] += np.count_nonzero(~silent & ((denom == 0.0) | (signal / denom >= ch.sinr_threshold)))
 
 
 def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, start: int, stop: int) -> np.ndarray:
     """Integer counts [radius, policy, (uplink successes, uplink holes,
     downlink successes, downlink holes)] over trials [start, stop).
 
-    Each trial is sampled once; only the zone split depends on the radius,
-    because exterior stations cover the whole (ring, sim_radius) annulus.
-    regions holds the silencing annulus per radius, or is None to skip the
-    downlink.
+    Trials are sampled and scored in blocks of _BLOCK; only the zone split
+    depends on the radius, because exterior stations cover the whole (ring,
+    sim_radius) annulus. regions holds the silencing annulus per radius, or
+    is None to skip the downlink.
     """
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
     up_factors = [0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies]
     streams = _StreamPool(cfg.master_seed)
-    for t in range(start, stop):
-        net = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
-        exterior = net.zone >= Zone.SILENCING
-        r = np.hypot(net.xy[:, 0], net.xy[:, 1])
-        sil_masks = [exterior & (r <= r_s) for r_s in radii]
-        if uplink:
-            _score_uplink(cfg, net, sil_masks, up_factors, streams.get(t, STREAM_UPLINK), counts[:, :, :2])
-        for k, region in enumerate(regions or ()):
-            _score_downlink(cfg, net, sil_masks[k], policies, region, streams.get(t, STREAM_DOWNLINK), counts[k, :, 2:])
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 is only ever compared where masked out
+        for first in range(start, stop, _BLOCK):
+            trials = range(first, min(first + _BLOCK, stop))
+            block = _sample_block(cfg, streams, trials, uplink, regions is not None)
+            sil_masks = [block.exterior & (block.radius <= r_s) for r_s in radii]
+            if uplink:
+                _count_uplink(cfg, block, sil_masks, up_factors, counts[:, :, :2])
+            for k, region in enumerate(regions or ()):
+                _count_downlink(cfg, block, sil_masks[k], policies, region, counts[k, :, 2:])
     return counts
 
 

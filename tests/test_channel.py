@@ -73,6 +73,19 @@ def test_path_gain_strictly_decreasing():
     assert np.all(np.diff(g) < 0.0)
 
 
+@pytest.mark.parametrize("alpha", [2.5, 3.0, 3.5, 4.0])
+def test_scalar_path_gain_equals_array_element_bitwise(alpha):
+    # the engine takes serving-link gains from its gain arrays, while the
+    # reference kernels call path_gain on one distance: both must agree to
+    # the last bit, not just to rounding
+    p = ChannelParams(path_loss_exponent=alpha)
+    rng = np.random.default_rng(int(alpha * 10))
+    d = np.concatenate([rng.uniform(0.5, 30000.0, 2000), np.geomspace(1.0, 1e5, 200)])
+    g = path_gain(d, p)
+    assert [path_gain(float(x), p) for x in d] == g.tolist()
+    assert [path_gain(x, p) for x in d] == g.tolist()  # NumPy scalars
+
+
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(path_loss_exponent=2.0)

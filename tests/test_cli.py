@@ -5,7 +5,9 @@ import stat
 import textwrap
 
 import pytest
+import yaml
 
+from disastersim import scenario
 from disastersim.cli import emit_results, format_value, main, manifest_path
 
 SILENCING_SCENARIO = """
@@ -217,6 +219,22 @@ def test_unparsable_scenario_reports_line_number(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.yaml:" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("loader", ["CSafeLoader", "SafeLoader"])
+def test_unparsable_scenario_message_is_problem_and_mark(tmp_path, capsys, monkeypatch, loader):
+    # The same one-line message under libyaml and under the pure-Python
+    # fallback: the file, line and column of the problem, then the problem.
+    if not hasattr(yaml, loader):
+        pytest.skip(f"PyYAML built without {loader}")
+    monkeypatch.setattr(scenario, "_YAML_LOADER", getattr(yaml, loader))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("silencing:\n\t- 1\n", encoding="utf-8")
+    assert run(["silencing-run", "--scenario", bad, "--out", tmp_path / "never.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}:2:1: cannot parse scenario: found character ")
+    assert err.endswith("cannot start any token\n")
+    assert err.count("\n") == 1
 
 
 def test_schema_violation_names_field(tmp_path, capsys):

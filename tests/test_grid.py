@@ -150,6 +150,119 @@ def test_empty_annulus_rejected_before_sampling(monkeypatch):
     assert err.value.field == "silencing_radius"
 
 
+# ---------------------------------------------------------------------------
+# the block engine: block edges, chunking, ties and empty trials
+# ---------------------------------------------------------------------------
+
+FOUR = POLICIES[:4]
+
+
+@pytest.mark.parametrize("n_trials", [netsim._BLOCK - 1, netsim._BLOCK, netsim._BLOCK + 1])
+def test_grid_equals_reference_at_block_edges(n_trials):
+    cfg = base_cfg(n_trials=n_trials, master_seed=77)
+    assert_grid_matches(cfg, (5000.0, 9000.0), POLICIES, workers=1)
+
+
+def test_grid_equals_reference_when_chunks_split_blocks():
+    # 2 workers cut 8 chunks of block + 3 trials, so every chunk ends in a
+    # short block and the next one starts mid-way through a block's range
+    n = 8 * (netsim._BLOCK + 3)
+    chunk = -(-n // (2 * 4))
+    assert chunk > netsim._BLOCK and chunk % netsim._BLOCK
+    cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
+    assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
+
+
+def test_grid_equals_reference_with_empty_trials():
+    # about one station per trial: many trials have none at all, which
+    # makes empty segments inside and at the ends of blocks
+    cfg = base_cfg(bs_density=2e-9, n_trials=2 * netsim._BLOCK + 5, master_seed=9)
+    empty = [build_network(cfg, t).n_bs == 0 for t in range(cfg.n_trials)]
+    assert sum(empty) >= 5 and not all(empty)
+    assert_grid_matches(cfg, (5000.0, 9000.0), POLICIES, workers=1)
+
+
+def test_grid_without_terrestrial_stations():
+    # no station anywhere: every uplink and downlink trial is a hole
+    cfg = base_cfg(bs_density=0.0, n_trials=netsim._BLOCK + 2)
+    expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=1)
+    assert np.all(expected[:, :, 1] == cfg.n_trials)
+    assert np.all(expected[:, :, 3] == cfg.n_trials)
+    # the aerial tier alone: stations exist, but none outside the disk
+    aerial = dataclasses.replace(cfg, aerial=AerialTier(density=3e-7, altitude=200.0, tx_power=1.0))
+    assert_grid_matches(aerial, (9000.0,), FOUR, workers=1)
+
+
+def test_block_sample_equals_sample_trial():
+    # entry for entry, the block's stations and fading are those of
+    # build_network and of the kernels' uplink and downlink draws
+    cfg = base_cfg(aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3), master_seed=31)
+    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), range(3, 3 + netsim._BLOCK), True, True)
+    up_g, up_h = block.up_fading
+    user_u, down_g, down_h = block.down_draws
+    for i, t in enumerate(range(3, 3 + netsim._BLOCK)):
+        net = build_network(cfg, t)
+        lo, hi = block.bounds[i], block.bounds[i + 1]
+        assert np.array_equal(block.x[lo:hi], net.xy[:, 0]) and np.array_equal(block.y[lo:hi], net.xy[:, 1])
+        assert np.array_equal(block.alt[lo:hi], net.altitude)
+        assert np.array_equal(block.tx[lo:hi], net.tx_power)
+        assert np.array_equal(block.alive[lo:hi], net.alive)
+        assert np.array_equal(block.exterior[lo:hi], net.zone >= netsim.Zone.SILENCING)
+        assert np.array_equal(block.device[i], net.device_xy)
+        up = trial_rng(cfg.master_seed, t, STREAM_UPLINK)
+        assert up_g[i] == up.exponential() and np.array_equal(up_h[lo:hi], up.exponential(size=net.n_bs))
+        down = trial_rng(cfg.master_seed, t, STREAM_DOWNLINK)
+        assert user_u[0][i] == down.random() and user_u[1][i] == down.random()
+        assert down_g[i] == down.exponential() and np.array_equal(down_h[lo:hi], down.exponential(size=net.n_bs))
+
+
+@pytest.mark.parametrize("seed", [0, 2024, 2**63 + 5, 2**64 - 1])
+def test_stream_pool_equals_fresh_generators(seed):
+    streams = netsim._StreamPool(seed)
+    for t, role in [(0, 0), (7, 2), (7, 0), (2**40, 3), (7, 2), (1, 1)]:
+        rng = streams.get(t, role)
+        fresh = trial_rng(seed, t, role)
+        assert rng.random(3).tolist() == fresh.random(3).tolist()
+        assert rng.exponential(size=5).tolist() == fresh.exponential(size=5).tolist()
+        rng.integers(0, 7, size=3, dtype=np.uint32)  # leaves half a word buffered
+        fresh.integers(0, 7, size=3, dtype=np.uint32)
+
+
+def test_nearest_breaks_ties_to_lowest_index():
+    # trial 0: stations 1 and 2 tie; trial 1 is empty; trial 2: 4 and 5
+    # tie; trial 3 has a station but no candidate
+    bounds = np.array([0, 3, 3, 7, 8])
+    candidates = np.array([0, 1, 2, 4, 5, 6])
+    d = np.array([2.0, 1.0, 1.0, 3.0, 3.0, 4.0])
+    assert netsim._nearest(bounds, candidates, d).tolist() == [1, -1, 4, -1]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=6), min_size=1, max_size=8))
+def test_property_nearest_is_per_trial_argmin(trials):
+    # small integer distances make ties common
+    bounds = np.cumsum([0] + [len(t) for t in trials])
+    flat = [station for t in trials for station in t]
+    candidates = np.array([i for i, (c, _) in enumerate(flat) if c], dtype=np.intp)
+    d_all = np.array([float(dist) for _, dist in flat])
+    expected = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        mine = candidates[(candidates >= lo) & (candidates < hi)]
+        expected.append(int(mine[np.argmin(d_all[mine])]) if mine.size else -1)
+    assert netsim._nearest(bounds, candidates, d_all[candidates]).tolist() == expected
+
+
+def test_trial_sums_equal_per_trial_sums():
+    rng = np.random.default_rng(4)
+    sizes = [0, 5, 0, 300, 1, 0, 129, 0]
+    bounds = np.cumsum([0] + sizes)
+    terms = rng.exponential(size=bounds[-1]) * rng.uniform(1e-12, 1e-6, size=bounds[-1])
+    on = rng.random(bounds[-1]) < 0.8
+    sums = netsim._trial_sums(bounds, terms, on)
+    expected = [terms[lo:hi][on[lo:hi]].sum() for lo, hi in zip(bounds, bounds[1:])]
+    assert sums.tolist() == expected
+
+
 def test_radius_outside_sim_radius_rejected():
     with pytest.raises(ScenarioError) as err:
         estimate_grid(base_cfg(), (9000.0, 15000.0), POLICIES)
