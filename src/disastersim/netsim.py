@@ -27,18 +27,24 @@ trial once and scores every point from that one realization, summing each
 point's interference over the same stations, in the same order and with
 the same products as the reference kernels uplink_sinr / downlink_sinr.
 
-estimate_grid walks its trials in blocks of _BLOCK. Per trial, it samples
-the realization with the reference sampler _sample_trial and draws the
-fading, resetting each stream once. Once per block, on the block's
-stations concatenated into ragged arrays, it builds the zone masks of
-every radius, computes distances, path gains and the received-power terms
-of every power factor, and finds each trial's serving station as the first
-index of its segment minimum (np.minimum.reduceat). Only each point's
-interference stays per trial: one 1-D pairwise sum, the same as the
-kernels' np.sum, because batched sums (np.add.reduceat, row sums over
-padded rows) add in another order and change last bits. The block is a
-small constant, because every batched array, and so peak memory, grows
-with it.
+Sampling is split into draws and placement (see geometry). _sample_trial
+makes every generator call of one trial's realization and places nothing;
+_place_block turns the draws of consecutive trials into stations, with one
+geometry placement call per tier and one cos/sin pass for all of them.
+Placement is elementwise, so a station gets the same coordinates whether
+its trial is placed alone (build_network, a one-trial block) or in a block.
+
+estimate_grid walks its trials in blocks of _BLOCK. Per trial, it calls
+_sample_trial and draws the fading, resetting each stream once. Once per
+block, on the block's stations concatenated into ragged arrays, it places
+the stations, builds the zone masks of every radius, computes distances,
+path gains and the received-power terms of every power factor, and finds
+each trial's serving station as the first index of its segment minimum
+(np.minimum.reduceat). Only each point's interference stays per trial: one
+1-D pairwise sum, the same as the kernels' np.sum, because batched sums
+(np.add.reduceat, row sums over padded rows) add in another order and
+change last bits. The block is a small constant, because every batched
+array, and so peak memory, grows with it.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
@@ -55,6 +61,7 @@ from enum import IntEnum
 from functools import lru_cache
 from itertools import repeat
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -346,58 +353,53 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
     return disaster, ring, exterior
 
 
+# Station tiers, in each trial's station order; exterior stations are split
+# into the silencing and outer zones by radius.
+_DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
+_TIERS = np.arange(4, dtype=np.int8)
+_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.SILENCING], dtype=np.int8)
+
+
+class _Draws(NamedTuple):
+    """One trial's station draws, before any station is placed.
+
+    tiers holds (radial, angle fractions) per tier in station order: radius
+    fractions for the disaster, ring and aerial tiers, ascending cumulative
+    arrival counts for the exterior (see geometry).
+    """
+
+    device: tuple[np.ndarray, np.ndarray]  # radius and angle fractions of one point
+    survival: np.ndarray  # (n_disaster,) uniforms; alive where < bs_survival_prob
+    tiers: tuple
+
+    @property
+    def n_bs(self) -> int:
+        return sum(angle.size for _, angle in self.tiers)
+
+
 def _sample_trial(
     cfg: ScenarioConfig,
     geom_rng: np.random.Generator,
     exterior_rng: np.random.Generator,
-) -> NetworkSnapshot:
+) -> _Draws:
+    """Every draw of one trial's realization, in the order of the module
+    docstring; _place_block turns them into stations."""
     disaster_region, ring_region, exterior_region = _regions(
         cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
     )
-
-    device = geometry.sample_uniform(disaster_region, 1, geom_rng)[0]
-    dis_xy = geometry.sample_ppp(disaster_region, cfg.bs_density, geom_rng)
-    dis_alive = geom_rng.random(dis_xy.shape[0]) < cfg.bs_survival_prob
-    ring_xy = geometry.sample_ppp(ring_region, cfg.bs_density, geom_rng)
+    device = geometry._draw_uniform(1, geom_rng)
+    disaster = geometry._draw_ppp(disaster_region, cfg.bs_density, geom_rng)
+    survival = geom_rng.random(disaster[1].size)
+    ring = geometry._draw_ppp(ring_region, cfg.bs_density, geom_rng)
     if cfg.aerial is not None:
-        air_xy = geometry.sample_ppp(disaster_region, cfg.aerial.density, geom_rng)
+        aerial = geometry._draw_ppp(disaster_region, cfg.aerial.density, geom_rng)
     else:
-        air_xy = np.empty((0, 2))
-
+        aerial = geometry._no_draws()
     if exterior_region is not None:
-        ext_xy = geometry.sample_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
+        exterior = geometry._draw_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
     else:
-        ext_xy = np.empty((0, 2))
-
-    n_d, n_r, n_a, n_e = dis_xy.shape[0], ring_xy.shape[0], air_xy.shape[0], ext_xy.shape[0]
-    n = n_d + n_r + n_a + n_e
-
-    xy = np.vstack([dis_xy, ring_xy, air_xy, ext_xy])
-    zone = np.empty(n, dtype=np.int8)
-    zone[: n_d + n_r + n_a] = Zone.DISASTER
-    zone[n_d : n_d + n_r] = Zone.ACTIVE_RING  # aerial stays in the disaster zone
-    ext_r = np.hypot(ext_xy[:, 0], ext_xy[:, 1])
-    zone[n_d + n_r + n_a :] = np.where(ext_r <= cfg.silencing_radius, Zone.SILENCING, Zone.OUTER)
-
-    altitude = np.zeros(n)
-    tx_power = np.full(n, cfg.bs_tx_power)
-    if n_a:
-        altitude[n_d + n_r : n_d + n_r + n_a] = cfg.aerial.altitude
-        tx_power[n_d + n_r : n_d + n_r + n_a] = cfg.aerial.tx_power
-
-    alive = np.ones(n, dtype=bool)
-    alive[:n_d] = dis_alive
-
-    return NetworkSnapshot(
-        xy=xy,
-        zone=zone,
-        altitude=altitude,
-        tx_power=tx_power,
-        power_factor=np.ones(n),
-        band=np.full(n, Band.DISASTER_BAND, dtype=np.int8),
-        alive=alive,
-        device_xy=device,
-    )
+        exterior = geometry._no_draws()
+    return _Draws(device, survival, (disaster, ring, aerial, exterior))
 
 
 def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
@@ -410,10 +412,24 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     exterior process by radius keeps realizations comparable across
     silencing radii with common random numbers.
     """
-    return _sample_trial(
+    draws = _sample_trial(
         cfg,
         trial_rng(cfg.master_seed, trial_index, STREAM_GEOMETRY),
         trial_rng(cfg.master_seed, trial_index, STREAM_EXTERIOR),
+    )
+    block = _place_block(cfg, [draws])
+    n = block.tier.size
+    zone = _TIER_ZONE[block.tier]
+    zone[block.exterior & (block.radius > cfg.silencing_radius)] = Zone.OUTER
+    return NetworkSnapshot(
+        xy=np.column_stack((block.x, block.y)),
+        zone=zone,
+        altitude=block.alt if block.alt is not None else np.zeros(n),
+        tx_power=block.tx,
+        power_factor=np.ones(n),
+        band=np.full(n, Band.DISASTER_BAND, dtype=np.int8),
+        alive=block.alive,
+        device_xy=block.device[0],
     )
 
 
@@ -599,11 +615,12 @@ _BLOCK = 16
 class _Block:
     """The realizations of consecutive trials as ragged station arrays.
 
-    Trial i owns entries bounds[i]:bounds[i + 1], ordered as in
-    _sample_trial: [disaster, ring, aerial, exterior by ascending radius].
+    Trial i owns entries bounds[i]:bounds[i + 1], ordered as its draws:
+    [disaster, ring, aerial, exterior by ascending radius].
     """
 
     bounds: np.ndarray  # (n_trials + 1,)
+    tier: np.ndarray  # (n,) int8, _DISASTER, _RING, _AERIAL or _EXTERIOR
     x: np.ndarray  # (n,) m
     y: np.ndarray  # (n,) m
     alt: np.ndarray | None  # (n,) m; None without an aerial tier
@@ -612,8 +629,8 @@ class _Block:
     exterior: np.ndarray  # (n,) bool, silencing or outer zone
     radius: np.ndarray  # (n,) m, hypot(x, y)
     device: np.ndarray  # (n_trials, 2) m
-    up_fading: tuple | None  # (device link (n_trials,), stations (n,))
-    down_draws: tuple | None  # (user radius and angle fractions (2, n_trials), user link, stations)
+    up_fading: tuple | None = None  # (device link (n_trials,), stations (n,))
+    down_draws: tuple | None = None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
     @property
     def n_trials(self) -> int:
@@ -624,49 +641,88 @@ class _Block:
         return np.repeat(per_trial, np.diff(self.bounds))
 
 
-def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, uplink: bool, downlink: bool) -> _Block:
-    """Each trial's _sample_trial realization and the fading draws of
-    uplink_trial and downlink_trial, concatenated into one block.
+def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
+    """The stations of consecutive trials' draws, placed as one block.
 
-    Each Philox stream is reset once per trial and makes the kernels'
+    Each tier is placed by one geometry call over all the block's draws of
+    that tier and then scattered into each trial's station order; cos and
+    sin run once over the whole block. Placement is elementwise, so every
+    station gets the bits it would get placed on its own.
+    """
+    disaster_region, ring_region, exterior_region = _regions(
+        cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
+    )
+    sizes = np.array([[angle.size for _, angle in d.tiers] for d in draws], dtype=np.intp)
+    bounds = np.zeros(len(draws) + 1, dtype=np.intp)
+    np.cumsum(sizes.sum(axis=1), out=bounds[1:])
+    tier = np.repeat(np.tile(_TIERS, len(draws)), sizes.ravel())
+    radial = [np.concatenate([d.tiers[k][0] for d in draws]) for k in range(len(_TIERS))]
+    r = np.empty(tier.size)
+    for k, region in ((_DISASTER, disaster_region), (_RING, ring_region), (_AERIAL, disaster_region)):
+        r[tier == k] = geometry._annulus_radius(region, radial[k])
+    exterior = tier == _EXTERIOR
+    if exterior_region is not None:
+        r[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, radial[_EXTERIOR])
+    xy = geometry._polar_to_xy(r, np.concatenate([angle for d in draws for _, angle in d.tiers]))
+    x, y = xy[:, 0], xy[:, 1]
+
+    alive = np.ones(tier.size, dtype=bool)
+    alive[tier == _DISASTER] = np.concatenate([d.survival for d in draws]) < cfg.bs_survival_prob
+    if cfg.aerial is not None:
+        aerial = tier == _AERIAL
+        alt = np.where(aerial, cfg.aerial.altitude, 0.0)
+        tx = np.where(aerial, cfg.aerial.tx_power, cfg.bs_tx_power)
+    else:
+        alt, tx = None, np.full(tier.size, cfg.bs_tx_power)
+    u_radius, u_angle = zip(*(d.device for d in draws))
+    device = geometry._place(disaster_region, np.concatenate(u_radius), np.concatenate(u_angle))
+    return _Block(
+        bounds=bounds,
+        tier=tier,
+        x=x,
+        y=y,
+        alt=alt,
+        tx=tx,
+        alive=alive,
+        exterior=exterior,
+        radius=np.hypot(x, y),
+        device=device,
+    )
+
+
+def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, uplink: bool, downlink: bool) -> _Block:
+    """Each trial's _sample_trial draws, placed as one block, and the fading
+    draws of uplink_trial and downlink_trial.
+
+    Each Philox stream is reset once per trial and makes the reference's
     generator calls in order, merged where that gives the same numbers:
     random() twice equals random(2), and exponential() then exponential(n)
     equals exponential(n + 1). downlink_trial resets its stream at every
     silencing radius and so draws the same user fractions and fading at
     each; they are drawn once.
     """
-    nets, up_g, up_h, down_u, down_g, down_h = [], [], [], [], [], []
+    draws, up_g, up_h, down_u, down_g, down_h = [], [], [], [], [], []
     for t in trials:
-        net = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
-        nets.append(net)
+        trial = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
+        draws.append(trial)
+        n_bs = trial.n_bs
         if uplink:
-            h = streams.get(t, STREAM_UPLINK).exponential(size=net.n_bs + 1)
+            h = streams.get(t, STREAM_UPLINK).exponential(size=n_bs + 1)
             up_g.append(h[0])
             up_h.append(h[1:])
         if downlink:
             down = streams.get(t, STREAM_DOWNLINK)
             down_u.append(down.random(2))  # sample_uniform: radius, then angle
-            h = down.exponential(size=net.n_bs + 1)
+            h = down.exponential(size=n_bs + 1)
             down_g.append(h[0])
             down_h.append(h[1:])
 
-    bounds = np.zeros(len(nets) + 1, dtype=np.intp)
-    np.cumsum([net.n_bs for net in nets], out=bounds[1:])
-    xy = np.concatenate([net.xy for net in nets])
-    x, y = xy[:, 0], xy[:, 1]
-    return _Block(
-        bounds=bounds,
-        x=x,
-        y=y,
-        alt=np.concatenate([net.altitude for net in nets]) if cfg.aerial is not None else None,
-        tx=np.concatenate([net.tx_power for net in nets]),
-        alive=np.concatenate([net.alive for net in nets]),
-        exterior=np.concatenate([net.zone for net in nets]) >= Zone.SILENCING,
-        radius=np.hypot(x, y),
-        device=np.array([net.device_xy for net in nets]).reshape(-1, 2),
-        up_fading=(np.array(up_g), np.concatenate(up_h)) if uplink else None,
-        down_draws=(np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)) if downlink else None,
-    )
+    block = _place_block(cfg, draws)
+    if uplink:
+        block.up_fading = np.array(up_g), np.concatenate(up_h)
+    if downlink:
+        block.down_draws = np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)
+    return block
 
 
 def _distances(block: _Block, px: np.ndarray, py: np.ndarray, pz: np.ndarray | None = None) -> np.ndarray:
@@ -877,7 +933,8 @@ def estimate_grid(
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
         counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a pool forks all its workers at the first submit, so none beyond the chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
                                  repeat(uplink), repeat(regions), starts, stops):
                 counts += part

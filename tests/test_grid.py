@@ -12,10 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from disastersim import netsim
+from disastersim import geometry, netsim
 from disastersim.channel import ChannelParams
+from disastersim.geometry import Annulus
 from disastersim.netsim import (
     STREAM_DOWNLINK,
+    STREAM_EXTERIOR,
+    STREAM_GEOMETRY,
     STREAM_UPLINK,
     AerialTier,
     ScenarioConfig,
@@ -193,27 +196,104 @@ def test_grid_without_terrestrial_stations():
     assert_grid_matches(aerial, (9000.0,), FOUR, workers=1)
 
 
-def test_block_sample_equals_sample_trial():
-    # entry for entry, the block's stations and fading are those of
-    # build_network and of the kernels' uplink and downlink draws
-    cfg = base_cfg(aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3), master_seed=31)
-    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), range(3, 3 + netsim._BLOCK), True, True)
+def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
+    """Trial t's realization from the public geometry samplers on fresh
+    streams, in the draw order the netsim module docstring gives."""
+    geom = trial_rng(cfg.master_seed, t, STREAM_GEOMETRY)
+    disk = geometry.disk(cfg.disaster_radius)
+    device = geometry.sample_uniform(disk, 1, geom)[0]
+    disaster = geometry.sample_ppp(disk, cfg.bs_density, geom)
+    survives = geom.random(len(disaster)) < cfg.bs_survival_prob
+    ring = geometry.sample_ppp(Annulus(cfg.disaster_radius, cfg.ring_outer_radius), cfg.bs_density, geom)
+    aerial = geometry.sample_ppp(disk, cfg.aerial.density, geom) if cfg.aerial else np.empty((0, 2))
+    if cfg.sim_radius > cfg.ring_outer_radius:
+        exterior_region = Annulus(cfg.ring_outer_radius, cfg.sim_radius)
+        exterior_rng = trial_rng(cfg.master_seed, t, STREAM_EXTERIOR)
+        exterior = geometry.sample_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
+    else:
+        exterior = np.empty((0, 2))
+    n_d, n_r, n_a, n_e = len(disaster), len(ring), len(aerial), len(exterior)
+    radius = np.hypot(exterior[:, 0], exterior[:, 1])
+    zone = [netsim.Zone.DISASTER] * n_d + [netsim.Zone.ACTIVE_RING] * n_r + [netsim.Zone.DISASTER] * n_a
+    zone += [netsim.Zone.SILENCING if r <= cfg.silencing_radius else netsim.Zone.OUTER for r in radius]
+    return dict(
+        device=device,
+        xy=np.vstack([disaster, ring, aerial, exterior]),
+        zone=np.array(zone, dtype=np.int8),
+        exterior=np.array([False] * (n_d + n_r + n_a) + [True] * n_e),
+        altitude=np.array([0.0] * (n_d + n_r) + [cfg.aerial.altitude if cfg.aerial else 0.0] * n_a + [0.0] * n_e),
+        tx=np.array([cfg.bs_tx_power] * (n_d + n_r) + [cfg.aerial.tx_power if cfg.aerial else 0.0] * n_a
+                    + [cfg.bs_tx_power] * n_e),
+        alive=np.concatenate([survives, np.ones(n_r + n_a + n_e, dtype=bool)]),
+    )
+
+
+def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
+    # entry for entry, the block's stations are the replayed ones and its
+    # fading is the kernels' uplink and downlink draws; build_network is a
+    # one-trial block, so it is checked against the replay as well
+    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), trials, True, True)
     up_g, up_h = block.up_fading
     user_u, down_g, down_h = block.down_draws
-    for i, t in enumerate(range(3, 3 + netsim._BLOCK)):
-        net = build_network(cfg, t)
+    assert block.n_trials == len(trials)
+    for i, t in enumerate(trials):
+        want = replay_trial(cfg, t)
         lo, hi = block.bounds[i], block.bounds[i + 1]
-        assert np.array_equal(block.x[lo:hi], net.xy[:, 0]) and np.array_equal(block.y[lo:hi], net.xy[:, 1])
-        assert np.array_equal(block.alt[lo:hi], net.altitude)
-        assert np.array_equal(block.tx[lo:hi], net.tx_power)
-        assert np.array_equal(block.alive[lo:hi], net.alive)
-        assert np.array_equal(block.exterior[lo:hi], net.zone >= netsim.Zone.SILENCING)
-        assert np.array_equal(block.device[i], net.device_xy)
+        assert hi - lo == len(want["xy"])
+        assert np.array_equal(block.x[lo:hi], want["xy"][:, 0]) and np.array_equal(block.y[lo:hi], want["xy"][:, 1])
+        if cfg.aerial is None:
+            assert block.alt is None
+        else:
+            assert np.array_equal(block.alt[lo:hi], want["altitude"])
+        assert np.array_equal(block.tx[lo:hi], want["tx"])
+        assert np.array_equal(block.alive[lo:hi], want["alive"])
+        assert np.array_equal(block.exterior[lo:hi], want["exterior"])
+        assert np.array_equal(block.radius[lo:hi], np.hypot(want["xy"][:, 0], want["xy"][:, 1]))
+        assert np.array_equal(block.device[i], want["device"])
+        n_bs = hi - lo
         up = trial_rng(cfg.master_seed, t, STREAM_UPLINK)
-        assert up_g[i] == up.exponential() and np.array_equal(up_h[lo:hi], up.exponential(size=net.n_bs))
+        assert up_g[i] == up.exponential() and np.array_equal(up_h[lo:hi], up.exponential(size=n_bs))
         down = trial_rng(cfg.master_seed, t, STREAM_DOWNLINK)
         assert user_u[0][i] == down.random() and user_u[1][i] == down.random()
-        assert down_g[i] == down.exponential() and np.array_equal(down_h[lo:hi], down.exponential(size=net.n_bs))
+        assert down_g[i] == down.exponential() and np.array_equal(down_h[lo:hi], down.exponential(size=n_bs))
+
+        net = build_network(cfg, t)
+        assert np.array_equal(net.xy, want["xy"]) and np.array_equal(net.zone, want["zone"])
+        assert np.array_equal(net.altitude, want["altitude"]) and np.array_equal(net.tx_power, want["tx"])
+        assert np.array_equal(net.alive, want["alive"]) and np.array_equal(net.device_xy, want["device"])
+
+
+def test_block_sample_equals_sample_trial():
+    cfg = base_cfg(aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3), master_seed=31)
+    assert_block_equals_replay(cfg, range(3, 3 + netsim._BLOCK))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    bs_density=st.sampled_from([0.0, 2e-9, 4e-7, 2e-6]),
+    aerial_density=st.sampled_from([None, 0.0, 5e-7, 3e-6]),
+    survival=st.sampled_from([0.0, 0.3, 1.0]),
+    exterior_width=st.sampled_from([0.0, 3000.0, 12000.0]),
+    first=st.integers(0, 10**6),
+    n=st.integers(1, netsim._BLOCK),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_property_block_sample_equals_geometry_replay(bs_density, aerial_density, survival, exterior_width,
+                                                      first, n, seed):
+    # exterior_width 0 puts sim_radius on the ring's outer edge: no exterior
+    ring_outer = 2600.0
+    cfg = ScenarioConfig(
+        disaster_radius=2000.0,
+        active_ring_width=600.0,
+        silencing_radius=ring_outer + exterior_width / 2,
+        sim_radius=ring_outer + exterior_width,
+        bs_density=bs_density,
+        bs_survival_prob=survival,
+        aerial=None if aerial_density is None else AerialTier(aerial_density, 150.0, 0.5),
+        n_trials=1,
+        master_seed=seed,
+    )
+    assert_block_equals_replay(cfg, range(first, first + n))
 
 
 @pytest.mark.parametrize("seed", [0, 2024, 2**63 + 5, 2**64 - 1])
@@ -261,6 +341,32 @@ def test_trial_sums_equal_per_trial_sums():
     sums = netsim._trial_sums(bounds, terms, on)
     expected = [terms[lo:hi][on[lo:hi]].sum() for lo, hi in zip(bounds, bounds[1:])]
     assert sums.tolist() == expected
+
+
+def test_pool_is_capped_at_the_chunk_count(monkeypatch):
+    # a process pool forks all its workers at the first submit; a fake pool
+    # records the size asked for and maps in this process
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    cfg = base_cfg(n_trials=10)
+    expected = estimate_grid(cfg, (9000.0,), FOUR, workers=1)
+    monkeypatch.setattr(netsim, "ProcessPoolExecutor", SerialPool)
+    assert estimate_grid(cfg, (9000.0,), FOUR, workers=64) == expected  # 10 chunks of one trial
+    assert estimate_grid(cfg, (9000.0,), FOUR, workers=2) == expected  # 5 chunks of two trials
+    assert sizes == [10, 2]
 
 
 def test_radius_outside_sim_radius_rejected():
