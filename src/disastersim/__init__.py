@@ -6,7 +6,7 @@ before it can transmit a payload, and how access-class barring reshapes the
 load on a congested cell.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .acb import AccessClass, AcdcProfile, admitted_load, simulate_access
 from .channel import ChannelParams, friis_gain, path_gain

@@ -66,10 +66,20 @@ def path_gain(distance, params: ChannelParams):
     if np.any(d <= 0.0):
         raise ValueError("path_gain requires distance > 0")
     d = np.maximum(d, params.min_distance)
-    # The ufunc, not **: on a NumPy scalar ** calls the C library's pow,
-    # which can differ in the last bit from the vectorised loop that arrays
-    # use. With np.power, path_gain(d) == path_gain(array)[i] bit for bit.
-    gain = params.reference_gain_at_1m * np.power(d, -params.path_loss_exponent)
+    alpha = params.path_loss_exponent
+    if float(alpha).is_integer():
+        # Multiplications and one division are correctly rounded, so this
+        # gives the same bits on every CPU and for scalars and arrays alike;
+        # np.power's last bit depends on which SIMD loop the CPU dispatches.
+        p = d
+        for _ in range(int(alpha) - 1):
+            p = p * d
+        gain = params.reference_gain_at_1m * (1.0 / p)
+    else:
+        # The ufunc, not **: on a NumPy scalar ** calls the C library's pow,
+        # which can differ in the last bit from the vectorised loop that
+        # arrays use. With np.power, path_gain(d) == path_gain(array)[i].
+        gain = params.reference_gain_at_1m * np.power(d, -alpha)
     return float(gain) if np.isscalar(distance) or gain.ndim == 0 else gain
 
 

@@ -23,9 +23,15 @@ Policies never consume randomness, and exterior stations are sampled over
 the whole (ring, sim_radius) annulus and only split into silencing and
 outer zones by radius, so a trial's realization is identical at every
 (silencing radius, policy) point. estimate_grid uses this: it samples each
-trial once and scores every point from that one realization, summing each
-point's interference over the same stations, in the same order and with
-the same products as the reference kernels uplink_sinr / downlink_sinr.
+trial once and scores every point from that one realization.
+
+Interference is summed in two groups, by the engine and by the reference
+kernels uplink_sinr / downlink_sinr alike: I_fix over the interferers
+outside the silencing zone, and I_sil over the silencing-zone interferers
+at full power. A policy with power factor f then sees I_fix + f * I_sil.
+For rho > 0 the serving station does not depend on rho, so two sums per
+(trial, radius) score every rho; the downlink's rho = 0 and spectrum_split
+servers differ, and each keeps one sum of its own.
 
 Sampling is split into draws and placement (see geometry). _sample_trial
 makes every generator call of one trial's realization and places nothing;
@@ -38,12 +44,13 @@ estimate_grid walks its trials in blocks of _BLOCK. Per trial, it calls
 _sample_trial and draws the fading, resetting each stream once. Once per
 block, on the block's stations concatenated into ragged arrays, it places
 the stations, builds the zone masks of every radius, computes distances,
-path gains and the received-power terms of every power factor, and finds
-each trial's serving station as the first index of its segment minimum
-(np.minimum.reduceat). Only each point's interference stays per trial: one
-1-D pairwise sum, the same as the kernels' np.sum, because batched sums
-(np.add.reduceat, row sums over padded rows) add in another order and
-change last bits. The block is a small constant, because every batched
+path gains and the full-power received terms, and finds each trial's
+serving station as the first index of its segment minimum
+(np.minimum.reduceat). Only the grouped sums stay per trial: each is one
+1-D pairwise sum over the same stations in the same order as the kernels'
+np.sum, because batched sums (np.add.reduceat, row sums over padded rows)
+add in another order and change last bits. Every policy is then scored
+from them at once. The block is a small constant, because every batched
 array, and so peak memory, grows with it.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
@@ -455,6 +462,29 @@ def _distances_3d(xy: np.ndarray, alt: np.ndarray, point_xy: np.ndarray, point_a
     return np.sqrt(planar_sq + (alt - point_alt) ** 2)
 
 
+def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: np.ndarray,
+                          bs_fading: np.ndarray, point_xy: np.ndarray, point_alt: float) -> float:
+    """Interference at a point from the marked stations, as I_fix + f * I_sil.
+
+    I_fix sums pf*tx*h*g over the interferers outside the silencing zone;
+    I_sil sums tx*h*g over the silencing-zone interferers, whose one shared
+    power factor is f (1.0 if there are none). This is the grouping the
+    silencing engine sums, so both give the same bits.
+    """
+    idx = np.flatnonzero(interferers)
+    d = _distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt)
+    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    sil = net.zone[idx] == Zone.SILENCING
+    out, zone = idx[~sil], idx[sil]
+    factors = net.power_factor[zone]
+    f = float(factors[0]) if factors.size else 1.0
+    if np.any(factors != f):
+        raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
+    i_fix = np.sum(net.power_factor[out] * net.tx_power[out] * bs_fading[out] * gains[~sil])
+    i_sil = np.sum(net.tx_power[zone] * bs_fading[zone] * gains[sil])
+    return float(i_fix + f * i_sil)
+
+
 def uplink_sinr(
     net: NetworkSnapshot,
     cfg: ScenarioConfig,
@@ -491,14 +521,9 @@ def uplink_sinr(
 
     interferers = net.alive & (net.power_factor > 0.0) & (net.band == Band.DISASTER_BAND)
     interferers[serving] = False
-    idx = np.flatnonzero(interferers)
-    if idx.size:
-        d_int = _distances_3d(net.xy[idx], net.altitude[idx], net.xy[serving], float(net.altitude[serving]))
-        gains = path_gain(np.maximum(d_int, ch.min_distance), ch)
-        interference = float(np.sum(net.power_factor[idx] * net.tx_power[idx] * bs_fading[idx] * gains))
-    else:
-        interference = 0.0
-
+    interference = _grouped_interference(
+        net, ch, interferers, bs_fading, net.xy[serving], float(net.altitude[serving])
+    )
     denom = interference + ch.noise_power
     if denom == 0.0:
         return math.inf, serving
@@ -555,14 +580,7 @@ def downlink_sinr(
 
     others = transmitting
     others[serving] = False
-    idx = np.flatnonzero(others)
-    if idx.size:
-        d_int = _distances_3d(net.xy[idx], net.altitude[idx], user_xy, 0.0)
-        gains = path_gain(np.maximum(d_int, ch.min_distance), ch)
-        interference = float(np.sum(net.power_factor[idx] * net.tx_power[idx] * bs_fading[idx] * gains))
-    else:
-        interference = 0.0
-
+    interference = _grouped_interference(net, ch, others, bs_fading, user_xy, 0.0)
     denom = interference + ch.noise_power
     if denom == 0.0:
         if signal == 0.0:
@@ -774,23 +792,13 @@ def _trial_sums(bounds: np.ndarray, terms: np.ndarray, on: np.ndarray) -> np.nda
     return np.array([add(kept[a:b]) for a, b in zip(ends, ends[1:])])
 
 
-def _silenced_terms(cfg: ScenarioConfig, full: np.ndarray, fading: np.ndarray, gains: np.ndarray,
-                    sil: np.ndarray, factor: float) -> np.ndarray:
-    """full, with each silencing-zone station's term at power factor `factor`.
-
-    The kernels form pf*tx*h*g left to right (pf = 1 elsewhere, and 1.0 * tx
-    == tx). Silencing-zone stations are terrestrial, so their pf*tx is the
-    one scalar factor * bs_tx_power.
-    """
-    return np.where(sil, factor * cfg.bs_tx_power * fading * gains, full)
-
-
-def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors, counts: np.ndarray):
+def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors: np.ndarray, counts: np.ndarray):
     """Add a block's uplink (successes, holes) to counts[radius, policy].
 
     factors[j] is policy j's power factor on the disaster band inside the
     silencing zone. The serving station depends on neither radius nor
-    policy, so it and its gains to every station are found once per trial.
+    policy, so it and its gains to every station are found once per trial,
+    and each radius needs only the two sums I_fix and I_sil.
     """
     ch = cfg.channel
     g, h = block.up_fading
@@ -813,20 +821,11 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors, counts
     full = block.tx * h * gains
     on = block.alive.copy()
     on[s] = False
-    interference = {}
     for k, sil in enumerate(sil_masks):
-        for j, factor in enumerate(factors):
-            key = (k, factor) if factor < 1.0 else factor  # factor 1 needs no zone
-            if key not in interference:
-                if factor == 0.0:
-                    terms, mask = full, on & ~sil
-                elif factor < 1.0:
-                    terms, mask = _silenced_terms(cfg, full, h, gains, sil, factor), on
-                else:
-                    terms, mask = full, on
-                interference[key] = _trial_sums(block.bounds, terms, mask)[served]
-            denom = interference[key] + ch.noise_power
-            counts[k, j, 0] += np.count_nonzero((denom == 0.0) | (signal / denom >= ch.sinr_threshold))
+        i_fix = _trial_sums(block.bounds, full, on & ~sil)[served][:, None]
+        i_sil = _trial_sums(block.bounds, full, on & sil)[served][:, None]
+        denom = i_fix + factors * i_sil + ch.noise_power
+        counts[k, :, 0] += ((denom == 0.0) | (signal[:, None] / denom >= ch.sinr_threshold)).sum(axis=0)
 
 
 def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policies, region: Annulus,
@@ -836,8 +835,9 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policie
     The user and the fading depend on the radius only, so distances and
     gains to every station are found once per trial. The serving station
     depends only on which stations transmit on the user's band: all of
-    them, all but the silenced ones, or (spectrum_split) only the retuned
-    ones.
+    them (rho > 0: I_fix and I_sil score every rho), all but the silenced
+    ones (rho = 0: I_fix alone), or (spectrum_split) only the retuned ones
+    (I_sil alone).
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
@@ -845,37 +845,36 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policie
     d = _distances(block, user[:, 0], user[:, 1])
     gains = path_gain(np.maximum(d, ch.min_distance), ch)
     full = block.tx * h * gains
-    servers, interference = {}, {}
+    bands = {}
     for j, policy in enumerate(policies):
-        factor = policy.silencing_power_factor
         if policy.kind == "spectrum_split":
             band = "retuned"
         else:
-            band = "all" if factor > 0.0 else "unsilenced"
-        if band not in servers:
-            if band == "retuned":
-                on = block.alive & sil
-            elif band == "unsilenced":
-                on = block.alive & ~sil
-            else:
-                on = block.alive.copy()
-            candidates = np.flatnonzero(on)
-            serving = _nearest(block.bounds, candidates, d[candidates])
-            served = serving >= 0
-            s = serving[served]
-            on[s] = False
-            servers[band] = served, s, on
-        served, s, others = servers[band]
-        partial = 0.0 < factor < 1.0
-        key = (band, factor if partial else 1.0)
-        if key not in interference:
-            terms = _silenced_terms(cfg, full, h, gains, sil, factor) if partial else full
-            interference[key] = _trial_sums(block.bounds, terms, others)[served]
-        signal = np.where(sil[s], factor, 1.0) * block.tx[s] * g[served] * gains[s]
-        denom = interference[key] + ch.noise_power
+            band = "all" if policy.silencing_power_factor > 0.0 else "unsilenced"
+        bands.setdefault(band, []).append(j)
+    scored = np.zeros((len(policies), 2), dtype=np.int64)
+    for band, members in bands.items():
+        if band == "all":
+            on = block.alive.copy()
+        else:
+            on = block.alive & (sil if band == "retuned" else ~sil)
+        candidates = np.flatnonzero(on)
+        serving = _nearest(block.bounds, candidates, d[candidates])
+        served = serving >= 0
+        s = serving[served]
+        on[s] = False
+        if band == "all":
+            i_fix, i_sil = (_trial_sums(block.bounds, full, on & zone)[served][:, None] for zone in (~sil, sil))
+        else:  # one group transmits, and the other's sum is 0.0
+            one, zero = _trial_sums(block.bounds, full, on)[served][:, None], np.zeros((s.size, 1))
+            i_fix, i_sil = (zero, one) if band == "retuned" else (one, zero)
+        factors = np.array([policies[j].silencing_power_factor for j in members])
+        signal = np.where(sil[s][:, None], factors, 1.0) * block.tx[s][:, None] * g[served][:, None] * gains[s][:, None]
+        denom = i_fix + factors * i_sil + ch.noise_power
         silent = (denom == 0.0) & (signal == 0.0)
-        counts[j, 1] += block.n_trials - s.size + np.count_nonzero(silent)
-        counts[j, 0] += np.count_nonzero(~silent & ((denom == 0.0) | (signal / denom >= ch.sinr_threshold)))
+        scored[members, 0] = (~silent & ((denom == 0.0) | (signal / denom >= ch.sinr_threshold))).sum(axis=0)
+        scored[members, 1] = block.n_trials - s.size + silent.sum(axis=0)
+    counts += scored
 
 
 def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, start: int, stop: int) -> np.ndarray:
@@ -888,7 +887,7 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, st
     is None to skip the downlink.
     """
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-    up_factors = [0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies]
+    up_factors = np.array([0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies])
     streams = _StreamPool(cfg.master_seed)
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 is only ever compared where masked out
         for first in range(start, stop, _BLOCK):
@@ -924,12 +923,13 @@ def estimate_grid(
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
     regions = tuple(_silencing_annulus(cfg, r_s) for r_s in radii) if downlink else None
     n = cfg.n_trials
-    if workers <= 1:
+    # Chunks of whole blocks, about four per worker. Per-trial seeding makes
+    # any partition valid; summing integer counts in ascending chunk order
+    # keeps the result identical for any worker count.
+    chunk = _BLOCK * math.ceil(n / (max(workers, 1) * 4 * _BLOCK))
+    if workers <= 1 or chunk >= n:
         counts = _count_chunk(cfg, radii, policies, uplink, regions, 0, n)
     else:
-        # Per-trial seeding makes any partition valid; summing integer counts
-        # in ascending chunk order keeps the result identical for any worker count.
-        chunk = max(1, math.ceil(n / (workers * 4)))
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
         counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)

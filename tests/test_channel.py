@@ -86,6 +86,17 @@ def test_scalar_path_gain_equals_array_element_bitwise(alpha):
     assert [path_gain(x, p) for x in d] == g.tolist()  # NumPy scalars
 
 
+@pytest.mark.parametrize("alpha", [3.0, 4.0])
+def test_integer_alpha_path_gain_is_products_and_one_division(alpha):
+    # correctly rounded operations only, so the bits cannot depend on the CPU
+    p = ChannelParams(path_loss_exponent=alpha, reference_gain_at_1m=0.7, min_distance=2.0)
+    rng = np.random.default_rng(int(alpha))
+    d = np.concatenate([rng.uniform(0.5, 30000.0, 9000), np.geomspace(1.0, 1e5, 1000)])
+    expected = [0.7 * (1.0 / (x * x * x if alpha == 3.0 else x * x * x * x)) for x in np.maximum(d, 2.0).tolist()]
+    assert path_gain(d, p).tolist() == expected
+    assert [path_gain(x, p) for x in d.tolist()] == expected
+
+
 def test_channel_params_validation():
     with pytest.raises(ValueError):
         ChannelParams(path_loss_exponent=2.0)

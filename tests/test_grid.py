@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import disaster_station, silencing_station, snapshot_from_stations
 from disastersim import geometry, netsim
-from disastersim.channel import ChannelParams
+from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import Annulus
 from disastersim.netsim import (
     STREAM_DOWNLINK,
@@ -26,10 +27,12 @@ from disastersim.netsim import (
     SilencingPolicy,
     apply_policy,
     build_network,
+    downlink_sinr,
     downlink_trial,
     estimate_grid,
     estimate_success,
     trial_rng,
+    uplink_sinr,
     uplink_trial,
 )
 from disastersim.planner import SweepGrid, sweep
@@ -128,6 +131,64 @@ def test_grid_equals_reference_with_silent_stations():
     assert np.all(expected[:, :, 3] == 20)
 
 
+DENSE = tuple(SilencingPolicy.partial(rho) for rho in np.linspace(0.0, 1.0, 11)) + (
+    SilencingPolicy.complete(),
+    SilencingPolicy.spectrum_split(),
+)
+
+
+@pytest.mark.parametrize("aerial", [None, AerialTier(density=1e-6, altitude=300.0, tx_power=0.02)])
+def test_grid_equals_reference_on_dense_rho_grid(aerial):
+    # every factor is scored from the same two grouped sums per radius; the
+    # kernels group theirs the same way, so the counts agree trial for trial
+    cfg = base_cfg(aerial=aerial, n_trials=24, master_seed=13,
+                   channel=ChannelParams(path_loss_exponent=3.5, sinr_threshold=0.3, noise_power=1e-14))
+    expected = assert_grid_matches(cfg, (5000.0, 9000.0), DENSE, workers=1)
+    assert len({int(c) for c in expected[:, :11, 0].ravel()}) > 2
+    assert len({int(c) for c in expected[:, :11, 2].ravel()}) > 2
+
+
+def count_trial_sums(monkeypatch, cfg, radii, rhos) -> int:
+    calls = []
+    original = netsim._trial_sums
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(netsim, "_trial_sums", counting)
+    estimate_grid(cfg, radii, [SilencingPolicy.partial(rho) for rho in rhos])
+    monkeypatch.undo()
+    return len(calls)
+
+
+def test_trial_sums_do_not_grow_with_the_rho_count(monkeypatch):
+    # one block: per radius, the uplink's I_fix and I_sil, the downlink's two
+    # for rho > 0, and one for the rho = 0 server
+    cfg = base_cfg(n_trials=netsim._BLOCK)
+    radii = (5000.0, 9000.0, 14000.0)
+    two = count_trial_sums(monkeypatch, cfg, radii, (0.0, 1.0))
+    eleven = count_trial_sums(monkeypatch, cfg, radii, np.linspace(0.0, 1.0, 11))
+    assert two == eleven == 5 * len(radii)
+
+
+def test_silencing_zone_factors_must_agree():
+    net = snapshot_from_stations([
+        disaster_station(100.0, 0.0),
+        silencing_station(3000.0, 0.0, power_factor=0.5),
+        silencing_station(-3000.0, 0.0, power_factor=0.25),
+    ])
+    cfg = base_cfg()
+    with pytest.raises(ValueError, match="share one power factor"):
+        uplink_sinr(net, cfg, 1.0, np.ones(3))
+    with pytest.raises(ValueError, match="share one power factor"):
+        downlink_sinr(net, cfg, np.zeros(2), netsim.Band.DISASTER_BAND, 1.0, np.ones(3))
+    # one shared factor scales the silencing-zone sum: I_fix + f * I_sil
+    net.power_factor[2] = 0.5
+    pg = [path_gain(d, cfg.channel) for d in (100.0, 2900.0, 3100.0)]
+    assert uplink_sinr(net, cfg, 1.0, np.ones(3)) == (pg[0] / (0.0 + 0.5 * (pg[1] + pg[2])), 0)
+
+
 def test_grid_samples_each_trial_once(monkeypatch):
     calls = []
     original = netsim._sample_trial
@@ -167,13 +228,16 @@ def test_grid_equals_reference_at_block_edges(n_trials):
 
 
 def test_grid_equals_reference_when_chunks_split_blocks():
-    # 2 workers cut 8 chunks of block + 3 trials, so every chunk ends in a
-    # short block and the next one starts mid-way through a block's range
+    # 2 workers cut chunks of whole blocks, and the last one ends in a short
+    # block; chunks that start mid-way through a block's range sum to the
+    # same counts
     n = 8 * (netsim._BLOCK + 3)
-    chunk = -(-n // (2 * 4))
-    assert chunk > netsim._BLOCK and chunk % netsim._BLOCK
     cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
-    assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
+    expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
+    regions = (netsim._silencing_annulus(cfg, 9000.0),)
+    edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
+    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, True, regions, a, b) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(sum(parts), expected)
 
 
 def test_grid_equals_reference_with_empty_trials():
@@ -361,12 +425,17 @@ def test_pool_is_capped_at_the_chunk_count(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    cfg = base_cfg(n_trials=10)
+    # chunks are whole blocks: 83 trials make 5 chunks of one block and one of 3 trials
+    cfg = base_cfg(n_trials=5 * netsim._BLOCK + 3)
     expected = estimate_grid(cfg, (9000.0,), FOUR, workers=1)
     monkeypatch.setattr(netsim, "ProcessPoolExecutor", SerialPool)
-    assert estimate_grid(cfg, (9000.0,), FOUR, workers=64) == expected  # 10 chunks of one trial
-    assert estimate_grid(cfg, (9000.0,), FOUR, workers=2) == expected  # 5 chunks of two trials
-    assert sizes == [10, 2]
+    assert estimate_grid(cfg, (9000.0,), FOUR, workers=64) == expected
+    assert estimate_grid(cfg, (9000.0,), FOUR, workers=2) == expected
+    assert sizes == [6, 2]
+    # a single chunk runs in this process and builds no pool
+    small = base_cfg(n_trials=10)
+    assert estimate_grid(small, (9000.0,), FOUR, workers=64) == estimate_grid(small, (9000.0,), FOUR, workers=1)
+    assert sizes == [6, 2]
 
 
 def test_radius_outside_sim_radius_rejected():
