@@ -24,6 +24,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AccessClass:
+    """One application class: its ACDC category, offered load and barring."""
+
     name: str
     acdc_category: int  # 1 = highest priority
     arrival_rate: float  # requests/s

@@ -5,23 +5,33 @@ Exit codes: 0 success, 2 input error (missing/unparsable scenario, schema
 violation), 3 I/O error writing outputs. Data files are a pure function of
 (scenario file contents, seed, version): no timestamps, paths, or worker
 counts ever reach an output byte.
+
+Imports happen where they are used. At import, this module loads only the
+scenario loader and the dependency-free errors module. The model behind
+each subcommand is imported on the runner's first call: netsim for
+silencing-run, planner (and with it netsim) for silencing-sweep, satwet for
+satwet-curve and acb for acb-run. The scenario loader imports each
+section's model as it parses that section (see scenario). So satwet-curve
+and acb-run never load the Monte Carlo engine or its process pool.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .acb import admitted_load, simulate_access
-from .netsim import ScenarioError, estimate_grid
-from .planner import sweep
-from .satwet import charge_curve
-from .scenario import ScenarioDocument, load_scenario
+from .errors import ScenarioError
+from .scenario import load_scenario
+
+if TYPE_CHECKING:
+    from .scenario import ScenarioDocument
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -136,11 +146,35 @@ def _require_section(doc: ScenarioDocument, section: str):
         raise ScenarioError(section, "scenario file has no such section but this subcommand needs it")
 
 
+# The model function each runner calls, and the module that defines it. The
+# runners reach them as attributes of this module (_model), which imports
+# the module on first use (PEP 562); an attribute replaced on this module,
+# such as a timing wrapper, is the one that runs.
+_MODEL_FUNCTIONS = {
+    "estimate_grid": "netsim",
+    "sweep": "planner",
+    "charge_curve": "satwet",
+    "admitted_load": "acb",
+    "simulate_access": "acb",
+}
+
+
+def __getattr__(name: str):
+    if name not in _MODEL_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__package__}.{_MODEL_FUNCTIONS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+_model = sys.modules[__name__]
+
+
 def _run_silencing_run(doc: ScenarioDocument, workers: int):
     _require_section(doc, "silencing")
     spec = doc.silencing
     cfg = spec.config
-    (points,) = estimate_grid(cfg, (cfg.silencing_radius,), spec.policies, workers)
+    (points,) = _model.estimate_grid(cfg, (cfg.silencing_radius,), spec.policies, workers)
     rows = []
     for policy, (up, down) in zip(spec.policies, points):
         rows.append([
@@ -156,7 +190,7 @@ def _run_silencing_sweep(doc: ScenarioDocument, workers: int):
     spec = doc.silencing
     if spec.sweep is None:
         raise ScenarioError("silencing.sweep", "scenario defines no sweep grid")
-    table = sweep(spec.config, spec.sweep.grid, spec.sweep.weights, workers=workers)
+    table = _model.sweep(spec.config, spec.sweep.grid, spec.sweep.weights, workers=workers)
     rows = [
         [r.rho, r.silencing_radius, r.p_disaster, r.p_disaster_ci,
          r.p_silencing, r.p_silencing_ci, r.utility, r.n_trials, r.master_seed]
@@ -168,7 +202,7 @@ def _run_silencing_sweep(doc: ScenarioDocument, workers: int):
 def _run_satwet_curve(doc: ScenarioDocument, workers: int):
     _require_section(doc, "satwet")
     spec = doc.satwet
-    curve = charge_curve(spec.heights, spec.payloads, spec.params, spec.model, mode=spec.mode)
+    curve = _model.charge_curve(spec.heights, spec.payloads, spec.params, spec.model, mode=spec.mode)
     rows = [[r.height, r.payload_bits, r.mode, r.harvested_power, r.charging_time] for r in curve]
     return rows, SATWET_HEADER
 
@@ -176,9 +210,9 @@ def _run_satwet_curve(doc: ScenarioDocument, workers: int):
 def _run_acb(doc: ScenarioDocument, workers: int):
     _require_section(doc, "acb")
     spec = doc.acb
-    mean = admitted_load(spec.profile, capacity=spec.capacity)
+    mean = _model.admitted_load(spec.profile, capacity=spec.capacity)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(doc.seed,)))
-    sim = simulate_access(spec.profile, spec.capacity, spec.horizon, rng)
+    sim = _model.simulate_access(spec.profile, spec.capacity, spec.horizon, rng)
     rows = []
     for i, cls in enumerate(spec.profile.classes):
         rows.append([

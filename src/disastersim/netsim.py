@@ -74,6 +74,7 @@ import numpy as np
 
 from . import geometry
 from .channel import ChannelParams, dbm_to_watts, path_gain
+from .errors import SEED_LIMIT, ScenarioError
 from .geometry import Annulus
 
 __all__ = [
@@ -99,20 +100,6 @@ __all__ = [
 ]
 
 
-class ScenarioError(ValueError):
-    """A scenario field violates its invariant; .field names the offender."""
-
-    def __init__(self, field_name: str, message: str):
-        self.field = field_name
-        self._message = message
-        super().__init__(f"{field_name}: {message}")
-
-    def __reduce__(self):
-        # Rebuild through __init__, so an error raised in a pool worker
-        # reaches the parent as the same ScenarioError.
-        return type(self), (self.field, self._message)
-
-
 class Zone(IntEnum):
     DISASTER = 0
     ACTIVE_RING = 1
@@ -131,9 +118,6 @@ STREAM_EXTERIOR = 1
 STREAM_UPLINK = 2
 STREAM_DOWNLINK = 3
 _N_STREAMS = 4
-
-# Seeds key a 64-bit Philox word; larger or negative seeds would alias.
-SEED_LIMIT = 2**64
 
 
 def trial_rng(master_seed: int, trial_index: int, substream: int) -> np.random.Generator:
@@ -329,6 +313,8 @@ class NetworkSnapshot:
 
 @dataclass(frozen=True)
 class TrialResult:
+    """One trial's outcome on one link: success, coverage hole, and the SINR."""
+
     success: bool
     coverage_hole: bool
     sinr: float  # linear; nan when there was no serving station

@@ -57,6 +57,8 @@ class TradeoffWeights:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One grid point of a sweep: both coverage estimates and their utility."""
+
     rho: float
     silencing_radius: float
     p_disaster: float

@@ -124,6 +124,8 @@ def charging_time(model: ChargingModel, harvested_power: float) -> float:
 
 @dataclass(frozen=True)
 class ChargeCurveRow:
+    """One (height, payload) point of a charging curve."""
+
     height: float  # meters
     payload_bits: float
     mode: str  # "zenith" | "pass-average"

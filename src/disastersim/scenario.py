@@ -7,20 +7,30 @@ Scenarios are YAML documents with one section per experiment family
 ``_db``/``_dbm``. Everything is validated here, before any computation, and
 violations name the offending field. The full schema is documented in
 docs/scenario_schema.md.
+
+Each section's model modules (channel, netsim and planner for
+``silencing``, satwet for ``satwet``, acb for ``acb``) are imported inside
+that section's parsers, so loading a scenario imports only what its
+sections use: a file without a ``silencing`` section never loads the Monte
+Carlo engine or its process pool.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import yaml
 
-from .acb import AccessClass, AcdcProfile
-from .channel import ChannelParams, db_to_linear, dbm_to_watts
-from .netsim import SEED_LIMIT, AerialTier, ScenarioConfig, ScenarioError, SilencingPolicy
-from .planner import SweepGrid, TradeoffWeights
-from .satwet import ChargingModel, SatWetParams
+from .errors import SEED_LIMIT, ScenarioError
+
+if TYPE_CHECKING:
+    from .acb import AcdcProfile
+    from .channel import ChannelParams
+    from .netsim import ScenarioConfig, SilencingPolicy
+    from .planner import SweepGrid, TradeoffWeights
+    from .satwet import ChargingModel, SatWetParams
 
 __all__ = [
     "ScenarioDocument",
@@ -34,12 +44,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """The ``silencing.sweep`` section: the (rho, radius) grid and its weights."""
+
     grid: SweepGrid
     weights: TradeoffWeights
 
 
 @dataclass(frozen=True)
 class SilencingSpec:
+    """The ``silencing`` section: the engine configuration, policies and sweep."""
+
     config: ScenarioConfig
     policies: tuple[SilencingPolicy, ...]
     sweep: SweepSpec | None
@@ -47,6 +61,8 @@ class SilencingSpec:
 
 @dataclass(frozen=True)
 class SatWetSpec:
+    """The ``satwet`` section: the link, the charging model and the curve axes."""
+
     params: SatWetParams
     model: ChargingModel
     mode: str  # "zenith" | "pass-average"
@@ -56,6 +72,8 @@ class SatWetSpec:
 
 @dataclass(frozen=True)
 class AcbSpec:
+    """The ``acb`` section: the class profile, cell capacity and horizon."""
+
     profile: AcdcProfile
     capacity: float  # requests/s
     horizon: float  # seconds
@@ -63,6 +81,8 @@ class AcbSpec:
 
 @dataclass(frozen=True)
 class ScenarioDocument:
+    """A validated scenario file; a section the file omits is None."""
+
     name: str
     seed: int
     n_trials: int
@@ -126,6 +146,8 @@ def _number_list(node: dict, key: str, path: str) -> tuple[float, ...]:
 
 
 def _parse_channel(node: dict | None, path: str) -> ChannelParams:
+    from .channel import ChannelParams, db_to_linear, dbm_to_watts
+
     if node is None:
         return ChannelParams()
     node = _require_mapping(node, path)
@@ -148,6 +170,8 @@ def _parse_channel(node: dict | None, path: str) -> ChannelParams:
 
 
 def _parse_policy(node, path: str) -> SilencingPolicy:
+    from .netsim import SilencingPolicy
+
     if isinstance(node, str):
         if node == "none":
             return SilencingPolicy.none()
@@ -165,6 +189,10 @@ def _parse_policy(node, path: str) -> SilencingPolicy:
 
 
 def _parse_silencing(node: dict, seed: int, n_trials: int) -> SilencingSpec:
+    from .channel import dbm_to_watts
+    from .netsim import AerialTier, ScenarioConfig
+    from .planner import SweepGrid, TradeoffWeights
+
     path = "silencing"
     node = _require_mapping(node, path)
     _reject_unknown(
@@ -247,6 +275,8 @@ def _parse_silencing(node: dict, seed: int, n_trials: int) -> SilencingSpec:
 
 
 def _parse_satwet(node: dict) -> SatWetSpec:
+    from .satwet import ChargingModel, SatWetParams
+
     path = "satwet"
     node = _require_mapping(node, path)
     _reject_unknown(
@@ -283,6 +313,8 @@ def _parse_satwet(node: dict) -> SatWetSpec:
 
 
 def _parse_acb(node: dict) -> AcbSpec:
+    from .acb import AccessClass, AcdcProfile
+
     path = "acb"
     node = _require_mapping(node, path)
     _reject_unknown(node, {"capacity_per_s", "horizon_s", "monotone", "classes"}, path)

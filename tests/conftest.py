@@ -1,6 +1,14 @@
 import numpy as np
+import pytest
 
 from disastersim.netsim import Band, NetworkSnapshot, Zone
+
+
+def pytest_collection_modifyitems(items):
+    # The 100k-trial acceptance criteria take minutes; `-m "not slow"` skips them.
+    for item in items:
+        if item.name.endswith("_100k"):
+            item.add_marker(pytest.mark.slow)
 
 
 def snapshot_from_stations(stations, device=(0.0, 0.0)) -> NetworkSnapshot:
