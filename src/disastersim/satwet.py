@@ -13,6 +13,7 @@ from .channel import friis_gain
 
 __all__ = [
     "EARTH_RADIUS",
+    "MODES",
     "SatWetParams",
     "ChargingModel",
     "ChargeCurveRow",
@@ -24,6 +25,8 @@ __all__ = [
 ]
 
 EARTH_RADIUS = 6.371e6  # meters
+# How charge_curve computes each altitude's harvested power.
+MODES = ("zenith", "pass-average")
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,7 @@ class ChargeCurveRow:
 
     height: float  # meters
     payload_bits: float
-    mode: str  # "zenith" | "pass-average"
+    mode: str  # one of MODES
     harvested_power: float  # watts
     charging_time: float  # seconds
 
@@ -149,8 +152,8 @@ def charge_curve(
     payloads = list(payloads)
     if not heights or not payloads:
         raise ValueError("heights and payloads must be nonempty")
-    if mode not in ("zenith", "pass-average"):
-        raise ValueError(f"mode must be 'zenith' or 'pass-average', got {mode!r}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     rows = []
     for h in heights:
         params_h = replace(p, altitude=h)

@@ -4,9 +4,16 @@ Scenarios are YAML documents with one section per experiment family
 (``silencing``, ``satwet``, ``acb``) plus top-level ``name``, ``seed`` and
 ``n_trials``. Keys carry their unit as a suffix (``_m``, ``_w``, ``_hz``,
 ``_per_m2``, ``_per_s``, ``_deg``, ``_j``); ratios quoted in decibels use
-``_db``/``_dbm``. Everything is validated here, before any computation, and
-violations name the offending field. The full schema is documented in
-docs/scenario_schema.md.
+``_db``/``_dbm``. The full schema is documented in docs/scenario_schema.md.
+
+The models own every default and range check: a key the file omits is
+not passed, so the model's own default applies, and every model is built
+here, so its checks run before any computation. This module owns the YAML
+key names, their types and unit conversions, and the YAML path that an
+error names. It also applies the run-time rules that no model constructor
+checks (a nonempty silencing annulus, through the engine's own rule; a
+positive ACB capacity and horizon; NumPy's largest Poisson mean), so that
+a scenario that loads also runs.
 
 Each section's model modules (channel, netsim and planner for
 ``silencing``, satwet for ``satwet``, acb for ``acb``) are imported inside
@@ -16,7 +23,7 @@ Carlo engine or its process pool.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -65,7 +72,7 @@ class SatWetSpec:
 
     params: SatWetParams
     model: ChargingModel
-    mode: str  # "zenith" | "pass-average"
+    mode: str  # one of satwet.MODES
     heights: tuple[float, ...]
     payloads: tuple[float, ...]
 
@@ -76,7 +83,7 @@ class AcbSpec:
 
     profile: AcdcProfile
     capacity: float  # requests/s
-    horizon: float  # seconds
+    horizon: float = 60.0  # seconds
 
 
 @dataclass(frozen=True)
@@ -96,38 +103,63 @@ class ScenarioDocument:
 # of its problem texts are worded differently.
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
+# Each table maps a YAML key to the model field it sets. A key quoted in
+# other units maps to (field, conversion); the channel's dB keys are mapped
+# in _parse_channel, where the conversions are imported.
+_SILENCING_KEYS = {
+    "disaster_radius_m": "disaster_radius",
+    "active_ring_width_m": "active_ring_width",
+    "silencing_radius_m": "silencing_radius",
+    "sim_radius_m": "sim_radius",
+    "bs_density_per_m2": "bs_density",
+    "bs_survival_prob": "bs_survival_prob",
+    "device_tx_power_w": "device_tx_power",
+    "bs_tx_power_w": "bs_tx_power",
+}
+_AERIAL_KEYS = {"density_per_m2": "density", "altitude_m": "altitude", "tx_power_w": "tx_power"}
+_WEIGHT_KEYS = {"disaster": "w_disaster", "silencing_area": "w_silencing_area"}
+_SATWET_KEYS = {
+    "frequency_hz": "frequency",
+    "sat_tx_power_w": "sat_tx_power",
+    "sat_tx_gain": "sat_tx_gain",
+    "ground_rx_gain": "ground_rx_gain",
+    "rf_to_dc_efficiency": "rf_to_dc_efficiency",
+    "min_elevation_deg": "min_elevation",
+}
+_CHARGING_KEYS = {"energy_per_bit_j": "energy_per_bit"}
+_ACB_KEYS = {"capacity_per_s": "capacity", "horizon_s": "horizon"}
+_CLASS_KEYS = {"arrival_rate_per_s": "arrival_rate", "admit_prob": "admit_prob"}
 
-def _require_mapping(node, path: str) -> dict:
+# The largest mean NumPy's Generator.poisson accepts; above it, it raises
+# "lam value too large". This is NumPy's POISSON_LAM_MAX, computed the same way.
+_POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+
+
+def _mapping(node, path: str, keys) -> dict:
+    """`node` as a mapping whose keys all lie in `keys`; null reads as empty."""
+    node = {} if node is None else node
     if not isinstance(node, dict):
         raise ScenarioError(path, f"must be a mapping, got {type(node).__name__}")
+    unknown = set(node) - set(keys)
+    if unknown:
+        raise ScenarioError(f"{path}.{sorted(unknown)[0]}", "unknown key")
     return node
 
 
-def _reject_unknown(node: dict, allowed: set[str], path: str):
-    unknown = set(node) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}.{sorted(unknown)[0]}", "unknown key")
-
-
-def _number(node: dict, key: str, path: str, default=None, required=False):
-    if key not in node or node[key] is None:
-        if required:
-            raise ScenarioError(f"{path}.{key}", "required key is missing")
-        return default
-    value = node[key]
+def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{path}.{key}", f"must be a number, got {value!r}")
+        raise ScenarioError(path, f"must be a number, got {value!r}")
     if not math.isfinite(value):
-        raise ScenarioError(f"{path}.{key}", f"must be finite, got {value!r}")
+        raise ScenarioError(path, f"must be finite, got {value!r}")
     return float(value)
 
 
-def _integer(node: dict, key: str, path: str, default=None, required=False):
-    if key not in node or node[key] is None:
-        if required:
+def _integer(node: dict, key: str, path: str, default=None):
+    value = node.get(key)
+    if value is None:
+        if default is None:
             raise ScenarioError(f"{path}.{key}", "required key is missing")
         return default
-    value = node[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}.{key}", f"must be an integer, got {value!r}")
     return value
@@ -137,195 +169,139 @@ def _number_list(node: dict, key: str, path: str) -> tuple[float, ...]:
     value = node.get(key)
     if not isinstance(value, list) or not value:
         raise ScenarioError(f"{path}.{key}", "must be a nonempty list of numbers")
-    out = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ScenarioError(f"{path}.{key}[{i}]", f"must be a finite number, got {v!r}")
-        out.append(float(v))
-    return tuple(out)
+    return tuple(_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(value))
 
 
-def _parse_channel(node: dict | None, path: str) -> ChannelParams:
-    from .channel import ChannelParams, db_to_linear, dbm_to_watts
+def _fields(node: dict, keys: dict, path: str, required=()) -> dict:
+    """Model keyword arguments from the keys of `node` that `keys` maps.
 
-    if node is None:
-        return ChannelParams()
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {"path_loss_exponent", "reference_gain_at_1m", "sinr_threshold_db", "noise_dbm", "min_distance_m"},
-        path,
-    )
-    noise_dbm = _number(node, "noise_dbm", path)
+    A key the file omits, or sets to null, is left out, so the model's own
+    default applies; a key in `required` must be present.
+    """
+    kwargs = {}
+    for key, field in keys.items():
+        if node.get(key) is None:
+            if key in required:
+                raise ScenarioError(f"{path}.{key}", "required key is missing")
+            continue
+        field, convert = field if isinstance(field, tuple) else (field, float)
+        kwargs[field] = convert(_number(node[key], f"{path}.{key}"))
+    return kwargs
+
+
+def _build(model, path: str, *args, **kwargs):
+    """model(*args, **kwargs), its ValueError re-raised as a ScenarioError at `path`.
+
+    A ScenarioError, which a model raises with its own field name, passes
+    through unchanged.
+    """
     try:
-        return ChannelParams(
-            path_loss_exponent=_number(node, "path_loss_exponent", path, default=4.0),
-            reference_gain_at_1m=_number(node, "reference_gain_at_1m", path, default=1.0),
-            noise_power=0.0 if noise_dbm is None else dbm_to_watts(noise_dbm),
-            sinr_threshold=db_to_linear(_number(node, "sinr_threshold_db", path, default=-10.0)),
-            min_distance=_number(node, "min_distance_m", path, default=1.0),
-        )
+        return model(*args, **kwargs)
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(path, str(exc)) from exc
+
+
+def _parse_channel(node, path: str) -> ChannelParams:
+    from .channel import ChannelParams, db_to_linear, dbm_to_watts
+
+    keys = {
+        "path_loss_exponent": "path_loss_exponent",
+        "reference_gain_at_1m": "reference_gain_at_1m",
+        "sinr_threshold_db": ("sinr_threshold", db_to_linear),
+        "noise_dbm": ("noise_power", dbm_to_watts),
+        "min_distance_m": "min_distance",
+    }
+    return _build(ChannelParams, path, **_fields(_mapping(node, path, keys), keys, path))
 
 
 def _parse_policy(node, path: str) -> SilencingPolicy:
     from .netsim import SilencingPolicy
 
-    if isinstance(node, str):
-        if node == "none":
-            return SilencingPolicy.none()
-        if node == "complete":
-            return SilencingPolicy.complete()
-        if node == "spectrum_split":
-            return SilencingPolicy.spectrum_split()
-        raise ScenarioError(path, f"unknown policy {node!r}")
+    if node in ("none", "complete", "spectrum_split"):
+        return getattr(SilencingPolicy, node)()
     if isinstance(node, dict) and set(node) == {"partial"}:
-        rho = node["partial"]
-        if isinstance(rho, bool) or not isinstance(rho, (int, float)) or not 0.0 <= rho <= 1.0:
-            raise ScenarioError(f"{path}.partial", f"rho must be a number in [0, 1], got {rho!r}")
-        return SilencingPolicy.partial(float(rho))
-    raise ScenarioError(path, f"must be a policy name or {{partial: rho}}, got {node!r}")
+        return _build(SilencingPolicy.partial, f"{path}.partial", _number(node["partial"], f"{path}.partial"))
+    raise ScenarioError(path, f"must be none, complete, spectrum_split or {{partial: rho}}, got {node!r}")
 
 
-def _parse_silencing(node: dict, seed: int, n_trials: int) -> SilencingSpec:
-    from .channel import dbm_to_watts
-    from .netsim import AerialTier, ScenarioConfig
+def _parse_sweep(node, path: str, config: ScenarioConfig) -> SweepSpec:
+    from .netsim import _silencing_annulus
     from .planner import SweepGrid, TradeoffWeights
 
-    path = "silencing"
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {
-            "disaster_radius_m", "active_ring_width_m", "silencing_radius_m", "sim_radius_m",
-            "bs_density_per_m2", "bs_survival_prob", "device_tx_power_w", "bs_tx_power_w",
-            "channel", "aerial", "policies", "sweep",
-        },
+    node = _mapping(node, path, {"rho_values", "silencing_radii_m", "weights"})
+    grid = _build(
+        SweepGrid,
         path,
+        rho_values=_number_list(node, "rho_values", path),
+        silencing_radii=_number_list(node, "silencing_radii_m", path),
     )
+    for i, r_s in enumerate(grid.silencing_radii):
+        # The engine's rules for a silencing radius, applied to each one.
+        try:
+            _silencing_annulus(replace(config, silencing_radius=r_s), r_s)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{path}.silencing_radii_m[{i}]", str(exc)) from exc
+    weights = _mapping(node.get("weights"), f"{path}.weights", _WEIGHT_KEYS)
+    fields = _fields(weights, _WEIGHT_KEYS, f"{path}.weights")
+    return SweepSpec(grid, _build(TradeoffWeights, f"{path}.weights", **fields))
 
+
+def _parse_silencing(node, seed: int, n_trials: int) -> SilencingSpec:
+    from .netsim import AerialTier, ScenarioConfig, _silencing_annulus
+
+    path = "silencing"
+    node = _mapping(node, path, {*_SILENCING_KEYS, "channel", "aerial", "policies", "sweep"})
     aerial = None
     if node.get("aerial") is not None:
-        a = _require_mapping(node["aerial"], f"{path}.aerial")
-        _reject_unknown(a, {"density_per_m2", "altitude_m", "tx_power_w"}, f"{path}.aerial")
-        aerial = AerialTier(
-            density=_number(a, "density_per_m2", f"{path}.aerial", required=True),
-            altitude=_number(a, "altitude_m", f"{path}.aerial", required=True),
-            tx_power=_number(a, "tx_power_w", f"{path}.aerial", required=True),
-        )
-
-    config = ScenarioConfig(
-        disaster_radius=_number(node, "disaster_radius_m", path, default=2000.0),
-        active_ring_width=_number(node, "active_ring_width_m", path, default=600.0),
-        silencing_radius=_number(node, "silencing_radius_m", path, default=6000.0),
-        sim_radius=_number(node, "sim_radius_m", path, default=20000.0),
-        bs_density=_number(node, "bs_density_per_m2", path, required=True),
-        bs_survival_prob=_number(node, "bs_survival_prob", path, default=0.3),
-        device_tx_power=_number(node, "device_tx_power_w", path, default=dbm_to_watts(23.0)),
-        bs_tx_power=_number(node, "bs_tx_power_w", path, default=dbm_to_watts(46.0)),
+        apath = f"{path}.aerial"
+        fields = _fields(_mapping(node["aerial"], apath, _AERIAL_KEYS), _AERIAL_KEYS, apath, required=_AERIAL_KEYS)
+        aerial = _build(AerialTier, apath, **fields)
+    config = _build(
+        ScenarioConfig,
+        path,
+        **_fields(node, _SILENCING_KEYS, path, required=("bs_density_per_m2",)),
         aerial=aerial,
         channel=_parse_channel(node.get("channel"), f"{path}.channel"),
         n_trials=n_trials,
         master_seed=seed,
     )
+    _silencing_annulus(config, config.silencing_radius)
 
-    policies_node = node.get("policies", ["none", "complete"])
-    if not isinstance(policies_node, list) or not policies_node:
+    policies = node.get("policies", ["none", "complete"])
+    if not isinstance(policies, list) or not policies:
         raise ScenarioError(f"{path}.policies", "must be a nonempty list")
-    policies = tuple(
-        _parse_policy(p, f"{path}.policies[{i}]") for i, p in enumerate(policies_node)
-    )
-
-    sweep_spec = None
-    if node.get("sweep") is not None:
-        s = _require_mapping(node["sweep"], f"{path}.sweep")
-        _reject_unknown(s, {"rho_values", "silencing_radii_m", "weights"}, f"{path}.sweep")
-        try:
-            grid = SweepGrid(
-                rho_values=_number_list(s, "rho_values", f"{path}.sweep"),
-                silencing_radii=_number_list(s, "silencing_radii_m", f"{path}.sweep"),
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.sweep", str(exc)) from exc
-        for i, r_s in enumerate(grid.silencing_radii):
-            if r_s < config.ring_outer_radius:
-                raise ScenarioError(
-                    f"{path}.sweep.silencing_radii_m[{i}]",
-                    f"must be >= disaster_radius + active_ring_width = {config.ring_outer_radius}",
-                )
-            if r_s > config.sim_radius:
-                raise ScenarioError(
-                    f"{path}.sweep.silencing_radii_m[{i}]", f"must be <= sim_radius = {config.sim_radius}"
-                )
-        weights = TradeoffWeights()
-        if s.get("weights") is not None:
-            w = _require_mapping(s["weights"], f"{path}.sweep.weights")
-            _reject_unknown(w, {"disaster", "silencing_area"}, f"{path}.sweep.weights")
-            try:
-                weights = TradeoffWeights(
-                    w_disaster=_number(w, "disaster", f"{path}.sweep.weights", default=1.0),
-                    w_silencing_area=_number(w, "silencing_area", f"{path}.sweep.weights", default=1.0),
-                )
-            except ValueError as exc:
-                raise ScenarioError(f"{path}.sweep.weights", str(exc)) from exc
-        sweep_spec = SweepSpec(grid=grid, weights=weights)
-
-    return SilencingSpec(config=config, policies=policies, sweep=sweep_spec)
+    policies = tuple(_parse_policy(p, f"{path}.policies[{i}]") for i, p in enumerate(policies))
+    sweep = None if node.get("sweep") is None else _parse_sweep(node["sweep"], f"{path}.sweep", config)
+    return SilencingSpec(config=config, policies=policies, sweep=sweep)
 
 
-def _parse_satwet(node: dict) -> SatWetSpec:
-    from .satwet import ChargingModel, SatWetParams
+def _parse_satwet(node) -> SatWetSpec:
+    from .satwet import MODES, ChargingModel, SatWetParams
 
     path = "satwet"
-    node = _require_mapping(node, path)
-    _reject_unknown(
-        node,
-        {
-            "frequency_hz", "sat_tx_power_w", "sat_tx_gain", "ground_rx_gain",
-            "rf_to_dc_efficiency", "min_elevation_deg", "mode", "heights_m",
-            "payload_bits", "energy_per_bit_j",
-        },
-        path,
-    )
+    node = _mapping(node, path, {*_SATWET_KEYS, *_CHARGING_KEYS, "mode", "heights_m", "payload_bits"})
     mode = node.get("mode", "zenith")
-    if mode not in ("zenith", "pass-average"):
-        raise ScenarioError(f"{path}.mode", f"must be 'zenith' or 'pass-average', got {mode!r}")
+    if mode not in MODES:
+        raise ScenarioError(f"{path}.mode", f"must be one of {', '.join(MODES)}, got {mode!r}")
+    params = _build(SatWetParams, path, **_fields(node, _SATWET_KEYS, path))
+    model = _build(ChargingModel, path, **_fields(node, _CHARGING_KEYS, path))
+    # Every altitude and payload of the curve, checked by the model it sets.
     heights = _number_list(node, "heights_m", path)
     payloads = _number_list(node, "payload_bits", path)
-    try:
-        params = SatWetParams(
-            frequency=_number(node, "frequency_hz", path, default=868e6),
-            sat_tx_power=_number(node, "sat_tx_power_w", path, default=100.0),
-            sat_tx_gain=_number(node, "sat_tx_gain", path, default=1e5),
-            ground_rx_gain=_number(node, "ground_rx_gain", path, default=1.0),
-            rf_to_dc_efficiency=_number(node, "rf_to_dc_efficiency", path, default=1.0),
-            altitude=heights[0],
-            min_elevation=_number(node, "min_elevation_deg", path, default=0.0),
-        )
-        model = ChargingModel(
-            energy_per_bit=_number(node, "energy_per_bit_j", path, default=4.5e-11),
-            payload_bits=payloads[0],
-        )
-    except ValueError as exc:
-        raise ScenarioError(path, str(exc)) from exc
-    return SatWetSpec(params=params, model=model, mode=mode, heights=heights, payloads=payloads)
+    per_height = [_build(replace, f"{path}.heights_m[{i}]", params, altitude=h) for i, h in enumerate(heights)]
+    per_payload = [_build(replace, f"{path}.payload_bits[{i}]", model, payload_bits=b) for i, b in enumerate(payloads)]
+    return SatWetSpec(per_height[0], per_payload[0], mode, heights, payloads)
 
 
-def _parse_acb(node: dict) -> AcbSpec:
+def _parse_acb(node) -> AcbSpec:
     from .acb import AccessClass, AcdcProfile
 
     path = "acb"
-    node = _require_mapping(node, path)
-    _reject_unknown(node, {"capacity_per_s", "horizon_s", "monotone", "classes"}, path)
-    capacity = _number(node, "capacity_per_s", path, required=True)
-    horizon = _number(node, "horizon_s", path, default=60.0)
-    if capacity <= 0:
-        raise ScenarioError(f"{path}.capacity_per_s", f"must be > 0, got {capacity}")
-    if horizon <= 0:
-        raise ScenarioError(f"{path}.horizon_s", f"must be > 0, got {horizon}")
-    monotone = node.get("monotone", False)
-    if not isinstance(monotone, bool):
+    node = _mapping(node, path, {*_ACB_KEYS, "monotone", "classes"})
+    monotone = node.get("monotone")
+    if monotone is not None and not isinstance(monotone, bool):
         raise ScenarioError(f"{path}.monotone", f"must be a boolean, got {monotone!r}")
     classes_node = node.get("classes")
     if not isinstance(classes_node, list) or not classes_node:
@@ -333,27 +309,25 @@ def _parse_acb(node: dict) -> AcbSpec:
     classes = []
     for i, c in enumerate(classes_node):
         cpath = f"{path}.classes[{i}]"
-        c = _require_mapping(c, cpath)
-        _reject_unknown(c, {"name", "acdc_category", "arrival_rate_per_s", "admit_prob"}, cpath)
-        name = c.get("name")
-        if not isinstance(name, str) or not name:
+        c = _mapping(c, cpath, {"name", "acdc_category", *_CLASS_KEYS})
+        if not isinstance(c.get("name"), str) or not c["name"]:
             raise ScenarioError(f"{cpath}.name", "must be a nonempty string")
-        try:
-            classes.append(
-                AccessClass(
-                    name=name,
-                    acdc_category=_integer(c, "acdc_category", cpath, required=True),
-                    arrival_rate=_number(c, "arrival_rate_per_s", cpath, required=True),
-                    admit_prob=_number(c, "admit_prob", cpath, required=True),
-                )
+        fields = _fields(c, _CLASS_KEYS, cpath, required=_CLASS_KEYS)
+        classes.append(_build(AccessClass, cpath, c["name"], _integer(c, "acdc_category", cpath), **fields))
+    flags = {} if monotone is None else {"monotone": monotone}
+    profile = _build(AcdcProfile, f"{path}.classes", tuple(classes), **flags)
+    spec = AcbSpec(profile, **_fields(node, _ACB_KEYS, path, required=("capacity_per_s",)))
+    for key, field in _ACB_KEYS.items():
+        if getattr(spec, field) <= 0:
+            raise ScenarioError(f"{path}.{key}", f"must be > 0, got {getattr(spec, field)}")
+    for i, c in enumerate(profile.classes):
+        if c.arrival_rate * spec.horizon > _POISSON_MEAN_MAX:
+            raise ScenarioError(
+                f"{path}.classes[{i}].arrival_rate_per_s",
+                f"arrival_rate_per_s * horizon_s = {c.arrival_rate * spec.horizon:.6g} exceeds "
+                f"{_POISSON_MEAN_MAX:.6g}, the largest mean NumPy's Poisson sampler accepts",
             )
-        except ValueError as exc:
-            raise ScenarioError(cpath, str(exc)) from exc
-    try:
-        profile = AcdcProfile(classes=tuple(classes), monotone=monotone)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}.classes", str(exc)) from exc
-    return AcbSpec(profile=profile, capacity=capacity, horizon=horizon)
+    return spec
 
 
 def load_scenario(
@@ -371,8 +345,7 @@ def load_scenario(
     raw = yaml.load(text, Loader=_YAML_LOADER)
     if raw is None:
         raise ScenarioError("<document>", "scenario file is empty")
-    raw = _require_mapping(raw, "<document>")
-    _reject_unknown(raw, {"name", "seed", "n_trials", "silencing", "satwet", "acb"}, "<document>")
+    raw = _mapping(raw, "<document>", {"name", "seed", "n_trials", "silencing", "satwet", "acb"})
 
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str) or not name:
@@ -388,21 +361,12 @@ def load_scenario(
     if not 0 <= seed < SEED_LIMIT:
         raise ScenarioError("seed", f"must be in [0, 2^64), got {seed}")
 
-    silencing = None
-    if raw.get("silencing") is not None:
-        silencing = _parse_silencing(raw["silencing"], seed, n_trials)
-    satwet_spec = None
-    if raw.get("satwet") is not None:
-        satwet_spec = _parse_satwet(raw["satwet"])
-    acb_spec = None
-    if raw.get("acb") is not None:
-        acb_spec = _parse_acb(raw["acb"])
-
+    silencing, satwet, acb = (raw.get(key) for key in ("silencing", "satwet", "acb"))
     return ScenarioDocument(
         name=name,
         seed=seed,
         n_trials=n_trials,
-        silencing=silencing,
-        satwet=satwet_spec,
-        acb=acb_spec,
+        silencing=None if silencing is None else _parse_silencing(silencing, seed, n_trials),
+        satwet=None if satwet is None else _parse_satwet(satwet),
+        acb=None if acb is None else _parse_acb(acb),
     )

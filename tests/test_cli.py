@@ -7,7 +7,7 @@ import textwrap
 import pytest
 import yaml
 
-from disastersim import scenario
+from disastersim import netsim, scenario
 from disastersim.cli import emit_results, format_value, main, manifest_path
 
 SILENCING_SCENARIO = """
@@ -300,3 +300,45 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
 def test_invalid_workers_rejected(tmp_path, capsys):
     scenario = write(tmp_path, SATWET_SCENARIO)
     assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "x.csv", "--workers", 0]) == 2
+
+
+@pytest.mark.parametrize(
+    "subcommand,text,field",
+    [
+        ("silencing-run", "silencing: {bs_density_per_m2: 1.0e-06, silencing_radius_m: 2600.0}", "silencing_radius"),
+        (
+            "silencing-sweep",
+            "silencing: {bs_density_per_m2: 1.0e-06, sweep: {rho_values: [0.0], silencing_radii_m: [2600.0, 4000.0]}}",
+            "silencing.sweep.silencing_radii_m[0]",
+        ),
+        ("satwet-curve", "satwet: {heights_m: [200000.0, -5.0], payload_bits: [400.0]}", "satwet.heights_m[1]"),
+        ("satwet-curve", "satwet: {heights_m: [200000.0], payload_bits: [400.0, -1.0]}", "satwet.payload_bits[1]"),
+        (
+            "acb-run",
+            "acb: {capacity_per_s: 10.0, classes: [{name: a, acdc_category: 1, arrival_rate_per_s: 1.0e+300, admit_prob: 1.0}]}",
+            "acb.classes[0].arrival_rate_per_s",
+        ),
+    ],
+    ids=["ring-edge-radius", "ring-edge-sweep-radius", "second-height", "second-payload", "acb-arrivals-overflow"],
+)
+def test_inputs_a_run_would_reject_exit_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, text, field):
+    def fail(*args):
+        raise AssertionError("sampled a trial before validating the scenario")
+
+    monkeypatch.setattr(netsim, "_sample_trial", fail)
+    out = tmp_path / "never.csv"
+    assert run([subcommand, "--scenario", write(tmp_path, text), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid scenario field {field}: ")
+    assert not out.exists()
+
+
+def test_acb_run_at_the_poisson_bound(tmp_path):
+    # The load-time bound is NumPy's own: the largest accepted mean still runs.
+    text = """
+    acb:
+      capacity_per_s: 10.0
+      horizon_s: 1.0
+      classes:
+        - {name: a, acdc_category: 1, arrival_rate_per_s: 9.223372006484771e+18, admit_prob: 1.0}
+    """
+    assert run(["acb-run", "--scenario", write(tmp_path, text), "--out", tmp_path / "acb.csv"]) == 0

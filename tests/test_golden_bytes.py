@@ -1,4 +1,4 @@
-"""Output bytes of the silencing commands, pinned by SHA-256.
+"""Output bytes of every subcommand, pinned by SHA-256.
 
 Outputs are a pure function of (scenario, seed, version). A change to any
 byte of these files, from the engine, the CSV writer or the manifest, fails
@@ -17,7 +17,8 @@ import pytest
 import disastersim
 from disastersim.cli import main, manifest_path
 
-FIG5 = Path(__file__).resolve().parent.parent / "scenarios" / "paper_fig5.yaml"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FIG5 = SCENARIOS / "paper_fig5.yaml"
 
 GOLDEN = {
     ("silencing-run", 200, 1): (
@@ -121,3 +122,46 @@ def test_aerial_tier_output_bytes(tmp_path, command, trials, workers):
             "--trials", str(trials), "--workers", str(workers)]
     assert main(argv) == 0
     assert (sha256(out), sha256(manifest_path(out))) == AERIAL_GOLDEN[command, trials, workers]
+
+
+# The analytic subcommands on their reference scenarios, and a scenario that
+# sets only what the loader requires, so that every other parameter in its
+# manifest and every number in its CSV comes from a model default.
+DEFAULTS_SCENARIO = """\
+name: defaults_golden
+silencing: {bs_density_per_m2: 4.0e-07}
+satwet:
+  heights_m: [200000.0, 400000.0]
+  payload_bits: [400.0, 10000.0]
+"""
+
+SCENARIO_GOLDEN = {
+    ("satwet-curve", "paper_fig4.yaml", ()): (
+        "90e767555265a57af4b5316c3423d13161dfef1ef9371b643072272790bc71be",
+        "e6fbb019b54d44d61ff3326cc4a3a51c17a8526814e2005134745591013593f8",
+    ),
+    ("acb-run", "acb_example.yaml", ()): (
+        "e4b26dd40fcc16acda8e75f63b02f26d06f599f2f040014e12180b5cc50b9f53",
+        "65fb08fe04c1533221b353caa6ed089c288edfff3febee7406bf080d8b991678",
+    ),
+    ("silencing-run", "defaults", ("--trials", "100")): (
+        "bb78adfcb4ec9eb9f0d073487dbc5c44dc7fbc848cd54ffb7aa4941a870e0ce9",
+        "eafb47962d2da92aec428378c866c85e6a7abb9840ee79eff526e6654ed475e4",
+    ),
+    ("satwet-curve", "defaults", ()): (
+        "d5dde81e53f193ec9b5c35857b7fcd0162f6ab9de265f20ee40c24e851d5d62d",
+        "8c1db8d49fed585da9273d9ec12359bb015dbe31996e0ec02eaf55c0f25d7b7b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,scenario,extra", sorted(SCENARIO_GOLDEN))
+def test_analytic_and_default_output_bytes(tmp_path, command, scenario, extra):
+    if scenario == "defaults":
+        path = tmp_path / "defaults.yaml"
+        path.write_text(DEFAULTS_SCENARIO, encoding="utf-8")
+    else:
+        path = SCENARIOS / scenario
+    out = tmp_path / "out.csv"
+    assert main([command, "--scenario", str(path), "--out", str(out), *extra]) == 0
+    assert (sha256(out), sha256(manifest_path(out))) == SCENARIO_GOLDEN[command, scenario, extra]

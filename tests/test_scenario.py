@@ -1,9 +1,16 @@
+from dataclasses import replace
+import math
+import re
 import textwrap
 
 import pytest
 import yaml
 
-from disastersim.netsim import ScenarioError
+from disastersim.acb import AcdcProfile
+from disastersim.channel import ChannelParams
+from disastersim.netsim import ScenarioConfig, ScenarioError
+from disastersim.planner import TradeoffWeights
+from disastersim.satwet import ChargingModel, SatWetParams
 from disastersim.scenario import load_scenario
 
 MINIMAL_SILENCING = """
@@ -276,3 +283,153 @@ def test_reference_scenarios_validate():
     assert fig4.satwet is not None
     acb = load_scenario("scenarios/acb_example.yaml")
     assert acb.acb is not None
+
+
+# ---------------------------------------------------------------------------
+# what a run would reject is rejected at load, naming the field
+# ---------------------------------------------------------------------------
+
+# The largest mean NumPy's Poisson sampler accepts, 2^63 - 1 - 10 sqrt(2^63 - 1).
+POISSON_MEAN_MAX = "9.223372006484771e+18"
+ONE_CLASS = "[{name: a, acdc_category: 1, arrival_rate_per_s: 1.0, admit_prob: 1.0}]"
+
+
+@pytest.mark.parametrize(
+    "text,field",
+    [
+        # at the ring edge the silencing annulus is empty
+        pytest.param(
+            "silencing: {bs_density_per_m2: 1.0e-06, silencing_radius_m: 2600.0}",
+            "silencing_radius",
+            id="ring-edge-radius",
+        ),
+        pytest.param(
+            "silencing: {bs_density_per_m2: 1.0e-06, sweep: {rho_values: [0.0], silencing_radii_m: [2600.0, 9000.0]}}",
+            "silencing.sweep.silencing_radii_m[0]",
+            id="ring-edge-sweep-radius",
+        ),
+        pytest.param(
+            "silencing: {bs_density_per_m2: 1.0e-06, sweep: {rho_values: [0.0], silencing_radii_m: [9000.0, 25000.0]}}",
+            "silencing.sweep.silencing_radii_m[1]",
+            id="sweep-radius-beyond-sim-radius",
+        ),
+        pytest.param(
+            "silencing: {bs_density_per_m2: 1.0e-06, policies: [none, {partial: 1.5}]}",
+            "silencing.policies[1].partial",
+            id="rho-above-one",
+        ),
+        pytest.param(
+            "silencing: {bs_density_per_m2: 1.0e-06, policies: [{partial: high}]}",
+            "silencing.policies[0].partial",
+            id="rho-not-a-number",
+        ),
+        pytest.param(
+            "satwet: {heights_m: [200000.0, -5.0], payload_bits: [400.0]}", "satwet.heights_m[1]", id="second-height"
+        ),
+        pytest.param("satwet: {heights_m: [-5.0], payload_bits: [400.0]}", "satwet.heights_m[0]", id="first-height"),
+        pytest.param(
+            "satwet: {heights_m: [200000.0], payload_bits: [400.0, -1.0]}",
+            "satwet.payload_bits[1]",
+            id="second-payload",
+        ),
+        pytest.param(
+            "satwet: {heights_m: [200000.0], payload_bits: [400.0], rf_to_dc_efficiency: 1.5}",
+            "satwet",
+            id="satwet-link-field",
+        ),
+        pytest.param(
+            "acb: {capacity_per_s: 10.0, classes: [{name: a, acdc_category: 1, arrival_rate_per_s: 1.0e+300, admit_prob: 1.0}]}",
+            "acb.classes[0].arrival_rate_per_s",
+            id="acb-arrivals-overflow",
+        ),
+        pytest.param(
+            "acb: {capacity_per_s: 10.0, horizon_s: 2.0, classes: [{name: a, acdc_category: 1, "
+            f"arrival_rate_per_s: {POISSON_MEAN_MAX}, admit_prob: 1.0}}]}}",
+            "acb.classes[0].arrival_rate_per_s",
+            id="acb-arrivals-twice-the-poisson-bound",
+        ),
+        pytest.param(f"acb: {{capacity_per_s: 10.0, monotone: 1, classes: {ONE_CLASS}}}", "acb.monotone", id="monotone-not-bool"),
+        pytest.param(f"acb: {{capacity_per_s: 0.0, classes: {ONE_CLASS}}}", "acb.capacity_per_s", id="zero-capacity"),
+    ],
+)
+def test_load_rejects_what_a_run_would_reject(tmp_path, text, field):
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(write(tmp_path, text))
+    assert err.value.field == field
+
+
+# ---------------------------------------------------------------------------
+# defaults: the models declare them, the loader and the docs agree
+# ---------------------------------------------------------------------------
+
+ALL_SECTIONS_MINIMAL = """
+silencing:
+  bs_density_per_m2: 1.0e-06
+  sweep: {rho_values: [0.0, 1.0], silencing_radii_m: [6000.0]}
+satwet:
+  heights_m: [300000.0]
+  payload_bits: [800.0]
+acb:
+  capacity_per_s: 10.0
+  classes:
+    - {name: a, acdc_category: 1, arrival_rate_per_s: 1.0, admit_prob: 1.0}
+"""
+
+
+def test_minimal_scenario_loads_the_model_defaults(tmp_path):
+    doc = load_scenario(write(tmp_path, ALL_SECTIONS_MINIMAL))
+    cfg = doc.silencing.config
+    assert cfg.channel == ChannelParams()
+    assert cfg == replace(ScenarioConfig(), master_seed=cfg.master_seed, n_trials=cfg.n_trials, bs_density=1e-6)
+    assert doc.silencing.sweep.weights == TradeoffWeights()
+    assert doc.satwet.params == replace(SatWetParams(), altitude=300e3)
+    assert doc.satwet.model == replace(ChargingModel(), payload_bits=800.0)
+    assert doc.acb.profile == AcdcProfile(doc.acb.profile.classes)
+
+
+def documented_defaults(path="docs/scenario_schema.md") -> dict[str, str]:
+    """Key -> default cell of every schema table row whose default is a number."""
+    out = {}
+    for line in open(path, encoding="utf-8"):
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) >= 3 and cells[0].startswith("`"):
+            number = re.match(r"-?\d[\d.]*(e[+-]\d+)?", cells[2])
+            if number:
+                out[cells[0].strip("`")] = number.group()
+    return out
+
+
+def significant_digits(printed: str) -> int:
+    return len(printed.lstrip("-").split("e")[0].replace(".", "").lstrip("0")) or 1
+
+
+def test_documented_defaults_match_the_loaded_ones(tmp_path):
+    doc = load_scenario(write(tmp_path, ALL_SECTIONS_MINIMAL))
+    cfg, ch, sw = doc.silencing.config, doc.silencing.config.channel, doc.satwet
+    loaded = {
+        "seed": doc.seed,
+        "n_trials": doc.n_trials,
+        "disaster_radius_m": cfg.disaster_radius,
+        "active_ring_width_m": cfg.active_ring_width,
+        "silencing_radius_m": cfg.silencing_radius,
+        "sim_radius_m": cfg.sim_radius,
+        "bs_survival_prob": cfg.bs_survival_prob,
+        "device_tx_power_w": cfg.device_tx_power,
+        "bs_tx_power_w": cfg.bs_tx_power,
+        "path_loss_exponent": ch.path_loss_exponent,
+        "reference_gain_at_1m": ch.reference_gain_at_1m,
+        "sinr_threshold_db": 10.0 * math.log10(ch.sinr_threshold),
+        "min_distance_m": ch.min_distance,
+        "frequency_hz": sw.params.frequency,
+        "sat_tx_power_w": sw.params.sat_tx_power,
+        "sat_tx_gain": sw.params.sat_tx_gain,
+        "ground_rx_gain": sw.params.ground_rx_gain,
+        "rf_to_dc_efficiency": sw.params.rf_to_dc_efficiency,
+        "min_elevation_deg": sw.params.min_elevation,
+        "energy_per_bit_j": sw.model.energy_per_bit,
+        "horizon_s": doc.acb.horizon,
+    }
+    documented = documented_defaults()
+    assert set(documented) == set(loaded)
+    for key, printed in documented.items():
+        assert f"{loaded[key]:.{significant_digits(printed)}g}" == f"{float(printed):.{significant_digits(printed)}g}", key
