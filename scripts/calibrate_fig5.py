@@ -11,8 +11,8 @@ those are recovered by search:
                   for each point, the BS:device power ratio that lands the
                   unsilenced success on 0.58; report the complete-silencing
                   success the point can reach.
-  stage refine  - at one chosen point, bisect the partial suppression
-                  factor until the partial success hits 0.68.
+  stage refine  - at one chosen point, bracket the partial suppression
+                  factor at which the partial success crosses 0.68.
   stage verify  - re-run a committed scenario file at full trial count and
                   print the ladder.
 
@@ -84,18 +84,31 @@ def stage_coarse(n_trials, seed):
                 )
 
 
+REFINE_STEPS = 12
+
+
+def refine_rho(cfg, target):
+    """The bracket [lo, lo + 2^-12] of the partial factor at which uplink
+    success falls to target, from one pass over the dyadic grid k / 2^12.
+
+    lo is the largest grid factor whose success exceeds target (0 if none
+    does). Success is exactly non-increasing in rho under common random
+    numbers, so this is the bracket a 12-step bisection finds, but scoring
+    every grid factor costs one pass.
+    """
+    n = 2**REFINE_STEPS
+    grid = [k / n for k in range(1, n)]
+    ladder = uplink_ladder(cfg, [SilencingPolicy.partial(rho) for rho in grid])
+    lo = max((rho for rho, est in zip(grid, ladder) if est.value > target), default=0.0)
+    return lo, lo + 1 / n
+
+
 def stage_refine(n_trials, seed, target=0.68):
     cfg = make_config(4e-7, 0.05, 3.0, 12000.0, 0.4, n_trials, seed)
-    lo, hi = 0.0, 1.0
-    for _ in range(12):
-        rho = 0.5 * (lo + hi)
-        p = estimate_success(cfg, SilencingPolicy.partial(rho)).value
-        print(f"rho={rho:.4f}  partial success={p:.4f}")
-        if p > target:
-            lo = rho
-        else:
-            hi = rho
-    print(f"rho* in [{lo:.4f}, {hi:.4f}]")
+    lo, hi = refine_rho(cfg, target)
+    low, high = uplink_ladder(cfg, (SilencingPolicy.partial(lo), SilencingPolicy.partial(hi)))
+    print(f"partial success {low.value:.4f} at rho={lo:.5f}, {high.value:.4f} at rho={hi:.5f}")
+    print(f"rho* in [{lo:.5f}, {hi:.5f}]")
 
 
 def stage_verify(scenario_path, trials_override):

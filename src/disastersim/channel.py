@@ -25,7 +25,7 @@ class ChannelParams:
 
     path_loss_exponent must exceed 2 so that far-field aggregate interference
     stays finite; min_distance guards the power-law singularity (distances
-    below it are clamped, never amplified).
+    below it are clamped, never amplified). Every field must be finite.
     """
 
     path_loss_exponent: float = 4.0
@@ -35,16 +35,16 @@ class ChannelParams:
     min_distance: float = 1.0  # meters
 
     def __post_init__(self):
-        if self.path_loss_exponent <= 2.0:
-            raise ValueError(f"path_loss_exponent must be > 2, got {self.path_loss_exponent}")
-        if self.reference_gain_at_1m <= 0.0:
-            raise ValueError("reference_gain_at_1m must be > 0")
-        if self.noise_power < 0.0:
-            raise ValueError("noise_power must be >= 0")
-        if self.sinr_threshold <= 0.0:
-            raise ValueError("sinr_threshold must be > 0")
-        if self.min_distance <= 0.0:
-            raise ValueError("min_distance must be > 0")
+        if not 2.0 < self.path_loss_exponent < math.inf:
+            raise ValueError(f"path_loss_exponent must be > 2 and finite, got {self.path_loss_exponent}")
+        if not 0.0 < self.reference_gain_at_1m < math.inf:
+            raise ValueError("reference_gain_at_1m must be > 0 and finite")
+        if not 0.0 <= self.noise_power < math.inf:
+            raise ValueError("noise_power must be >= 0 and finite")
+        if not 0.0 < self.sinr_threshold < math.inf:
+            raise ValueError("sinr_threshold must be > 0 and finite")
+        if not 0.0 < self.min_distance < math.inf:
+            raise ValueError("min_distance must be > 0 and finite")
 
 
 def db_to_linear(value_db: float) -> float:

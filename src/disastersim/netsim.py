@@ -7,6 +7,8 @@ simulation truncation radius. A typical device inside the disaster disk
 uplinks to the nearest functioning station in or around the disk; the
 interference it must overcome is the aggregate co-band downlink radiation
 of every other transmitting station, received at the serving site.
+ScenarioConfig validates the radii in one place, so both annuli beyond the
+ring, silencing and exterior, are nonempty in every valid configuration.
 
 Determinism contract: all randomness of trial t is drawn from Philox
 engines keyed by master_seed (an integer in [0, 2^64)) at counter block
@@ -170,17 +172,23 @@ class AerialTier:
     tx_power: float  # watts
 
     def __post_init__(self):
-        if self.density < 0:
-            raise ScenarioError("aerial.density", f"must be >= 0, got {self.density}")
-        if self.altitude <= 0:
-            raise ScenarioError("aerial.altitude", f"must be > 0, got {self.altitude}")
-        if self.tx_power < 0:
-            raise ScenarioError("aerial.tx_power", f"must be >= 0, got {self.tx_power}")
+        if not 0 <= self.density < math.inf:
+            raise ScenarioError("aerial.density", f"must be >= 0 and finite, got {self.density}")
+        if not 0 < self.altitude < math.inf:
+            raise ScenarioError("aerial.altitude", f"must be > 0 and finite, got {self.altitude}")
+        if not 0 <= self.tx_power < math.inf:
+            raise ScenarioError("aerial.tx_power", f"must be >= 0 and finite, got {self.tx_power}")
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one silencing experiment."""
+    """Full description of one silencing experiment.
+
+    validate() holds 0 < disaster_radius < ring edge < silencing_radius <=
+    sim_radius < inf, where ring edge = disaster_radius + active_ring_width,
+    so the silencing and exterior annuli beyond the ring are never empty.
+    Every float field must be finite; NaN fails every check.
+    """
 
     disaster_radius: float = 2000.0  # m
     active_ring_width: float = 600.0  # m
@@ -199,28 +207,26 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        if self.disaster_radius <= 0:
-            raise ScenarioError("disaster_radius", f"must be > 0, got {self.disaster_radius}")
-        if self.active_ring_width <= 0:
-            raise ScenarioError("active_ring_width", f"must be > 0, got {self.active_ring_width}")
-        if self.silencing_radius < self.ring_outer_radius:
+        if not 0 < self.disaster_radius < math.inf:
+            raise ScenarioError("disaster_radius", f"must be > 0 and finite, got {self.disaster_radius}")
+        if not 0 < self.active_ring_width < math.inf:
+            raise ScenarioError("active_ring_width", f"must be > 0 and finite, got {self.active_ring_width}")
+        if not self.ring_outer_radius < self.silencing_radius < math.inf:
             raise ScenarioError(
                 "silencing_radius",
-                f"must be >= disaster_radius + active_ring_width = {self.ring_outer_radius}, "
+                f"must be > disaster_radius + active_ring_width = {self.ring_outer_radius} and finite, "
                 f"got {self.silencing_radius}",
             )
-        if self.sim_radius < self.silencing_radius:
-            raise ScenarioError(
-                "sim_radius", f"must be >= silencing_radius, got {self.sim_radius}"
-            )
-        if self.bs_density < 0:
-            raise ScenarioError("bs_density", f"must be >= 0, got {self.bs_density}")
+        if not self.silencing_radius <= self.sim_radius < math.inf:
+            raise ScenarioError("sim_radius", f"must be >= silencing_radius and finite, got {self.sim_radius}")
+        if not 0 <= self.bs_density < math.inf:
+            raise ScenarioError("bs_density", f"must be >= 0 and finite, got {self.bs_density}")
         if not 0.0 <= self.bs_survival_prob <= 1.0:
             raise ScenarioError("bs_survival_prob", f"must be in [0, 1], got {self.bs_survival_prob}")
-        if self.device_tx_power < 0:
-            raise ScenarioError("device_tx_power", f"must be >= 0, got {self.device_tx_power}")
-        if self.bs_tx_power < 0:
-            raise ScenarioError("bs_tx_power", f"must be >= 0, got {self.bs_tx_power}")
+        if not 0 <= self.device_tx_power < math.inf:
+            raise ScenarioError("device_tx_power", f"must be >= 0 and finite, got {self.device_tx_power}")
+        if not 0 <= self.bs_tx_power < math.inf:
+            raise ScenarioError("bs_tx_power", f"must be >= 0 and finite, got {self.bs_tx_power}")
         if self.n_trials < 1:
             raise ScenarioError("n_trials", f"must be >= 1, got {self.n_trials}")
         if not 0 <= self.master_seed < SEED_LIMIT:
@@ -340,10 +346,7 @@ def _estimate(successes: int, holes: int, cfg: ScenarioConfig) -> Estimate:
 
 @lru_cache(maxsize=32)
 def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
-    disaster = geometry.disk(disaster_radius)
-    ring = Annulus(disaster_radius, ring_outer)
-    exterior = Annulus(ring_outer, sim_radius) if sim_radius > ring_outer else None
-    return disaster, ring, exterior
+    return geometry.disk(disaster_radius), Annulus(disaster_radius, ring_outer), Annulus(ring_outer, sim_radius)
 
 
 # Station tiers, in each trial's station order; exterior stations are split
@@ -388,10 +391,7 @@ def _sample_trial(
         aerial = geometry._draw_ppp(disaster_region, cfg.aerial.density, geom_rng)
     else:
         aerial = geometry._no_draws()
-    if exterior_region is not None:
-        exterior = geometry._draw_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
-    else:
-        exterior = geometry._no_draws()
+    exterior = geometry._draw_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
     return _Draws(device, survival, (disaster, ring, aerial, exterior))
 
 
@@ -575,16 +575,6 @@ def downlink_sinr(
     return signal / denom, serving
 
 
-def _silencing_annulus(cfg: ScenarioConfig, silencing_radius: float) -> Annulus:
-    """The region a silencing-area user is drawn from; it must not be empty."""
-    if silencing_radius <= cfg.ring_outer_radius:
-        raise ScenarioError(
-            "silencing_radius",
-            "silencing annulus is empty; coverage inside it is undefined",
-        )
-    return Annulus(cfg.ring_outer_radius, silencing_radius)
-
-
 def downlink_trial(
     net: NetworkSnapshot,
     cfg: ScenarioConfig,
@@ -598,7 +588,7 @@ def downlink_trial(
     order: user position (radius, angle), user-link fading, one fading per
     station in array order.
     """
-    user = geometry.sample_uniform(_silencing_annulus(cfg, cfg.silencing_radius), 1, rng)[0]
+    user = geometry.sample_uniform(Annulus(cfg.ring_outer_radius, cfg.silencing_radius), 1, rng)[0]
     g = rng.exponential()
     h = rng.exponential(size=net.n_bs)
     band = Band.ALTERNATE_BAND if policy.kind == "spectrum_split" else Band.DISASTER_BAND
@@ -665,8 +655,7 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
     for k, region in ((_DISASTER, disaster_region), (_RING, ring_region), (_AERIAL, disaster_region)):
         r[tier == k] = geometry._annulus_radius(region, radial[k])
     exterior = tier == _EXTERIOR
-    if exterior_region is not None:
-        r[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, radial[_EXTERIOR])
+    r[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, radial[_EXTERIOR])
     xy = geometry._polar_to_xy(r, np.concatenate([angle for d in draws for _, angle in d.tiers]))
     x, y = xy[:, 0], xy[:, 1]
 
@@ -903,11 +892,13 @@ def estimate_grid(
     same realizations (common random numbers), each sampled once per trial,
     and the counts equal those of build_network + apply_policy +
     uplink_trial / downlink_trial at cfg with silencing_radius = radii[k].
+    Every radius is validated as that config's before any trial is sampled,
+    for the uplink and the downlink alike.
     """
     radii, policies = tuple(radii), tuple(policies)
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
-    regions = tuple(_silencing_annulus(cfg, r_s) for r_s in radii) if downlink else None
+    regions = tuple(Annulus(cfg.ring_outer_radius, r_s) for r_s in radii) if downlink else None
     n = cfg.n_trials
     # Chunks of whole blocks, about four per worker. Per-trial seeding makes
     # any partition valid; summing integer counts in ascending chunk order

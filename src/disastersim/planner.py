@@ -37,8 +37,8 @@ class SweepGrid:
                 raise ValueError(f"{name} must be nonempty")
             if list(values) != sorted(set(values)):
                 raise ValueError(f"{name} must be strictly ascending and unique")
-        if self.rho_values[0] < 0.0 or self.rho_values[-1] > 1.0:
-            raise ValueError("rho_values must lie in [0, 1]")
+        for rho in self.rho_values:
+            SilencingPolicy.partial(rho)  # the policy owns the rho range
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,9 @@ not passed, so the model's own default applies, and every model is built
 here, so its checks run before any computation. This module owns the YAML
 key names, their types and unit conversions, and the YAML path that an
 error names. It also applies the run-time rules that no model constructor
-checks (a nonempty silencing annulus, through the engine's own rule; a
-positive ACB capacity and horizon; NumPy's largest Poisson mean), so that
-a scenario that loads also runs.
+checks (a positive ACB capacity and horizon; NumPy's largest Poisson mean),
+and checks each sweep radius as the silencing radius of the configuration,
+so that a scenario that loads also runs.
 
 Each section's model modules (channel, netsim and planner for
 ``silencing``, satwet for ``satwet``, acb for ``acb``) are imported inside
@@ -227,7 +227,6 @@ def _parse_policy(node, path: str) -> SilencingPolicy:
 
 
 def _parse_sweep(node, path: str, config: ScenarioConfig) -> SweepSpec:
-    from .netsim import _silencing_annulus
     from .planner import SweepGrid, TradeoffWeights
 
     node = _mapping(node, path, {"rho_values", "silencing_radii_m", "weights"})
@@ -238,9 +237,8 @@ def _parse_sweep(node, path: str, config: ScenarioConfig) -> SweepSpec:
         silencing_radii=_number_list(node, "silencing_radii_m", path),
     )
     for i, r_s in enumerate(grid.silencing_radii):
-        # The engine's rules for a silencing radius, applied to each one.
         try:
-            _silencing_annulus(replace(config, silencing_radius=r_s), r_s)
+            replace(config, silencing_radius=r_s)
         except ScenarioError as exc:
             raise ScenarioError(f"{path}.silencing_radii_m[{i}]", str(exc)) from exc
     weights = _mapping(node.get("weights"), f"{path}.weights", _WEIGHT_KEYS)
@@ -249,7 +247,7 @@ def _parse_sweep(node, path: str, config: ScenarioConfig) -> SweepSpec:
 
 
 def _parse_silencing(node, seed: int, n_trials: int) -> SilencingSpec:
-    from .netsim import AerialTier, ScenarioConfig, _silencing_annulus
+    from .netsim import AerialTier, ScenarioConfig
 
     path = "silencing"
     node = _mapping(node, path, {*_SILENCING_KEYS, "channel", "aerial", "policies", "sweep"})
@@ -267,7 +265,6 @@ def _parse_silencing(node, seed: int, n_trials: int) -> SilencingSpec:
         n_trials=n_trials,
         master_seed=seed,
     )
-    _silencing_annulus(config, config.silencing_radius)
 
     policies = node.get("policies", ["none", "complete"])
     if not isinstance(policies, list) or not policies:

@@ -104,6 +104,10 @@ def test_channel_params_validation():
         ChannelParams(sinr_threshold=0.0)
     with pytest.raises(ValueError):
         ChannelParams(noise_power=-1.0)
+    for name in ("path_loss_exponent", "reference_gain_at_1m", "noise_power", "sinr_threshold", "min_distance"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                ChannelParams(**{name: value})
 
 
 def test_sinr_single_interferer_hand_case():

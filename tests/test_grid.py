@@ -30,7 +30,6 @@ from disastersim.netsim import (
     downlink_sinr,
     downlink_trial,
     estimate_grid,
-    estimate_success,
     trial_rng,
     uplink_sinr,
     uplink_trial,
@@ -212,6 +211,10 @@ def test_empty_annulus_rejected_before_sampling(monkeypatch):
     with pytest.raises(ScenarioError) as err:
         sweep(cfg, SweepGrid((0.0, 1.0), (2600.0, 9000.0)))
     assert err.value.field == "silencing_radius"
+    # the uplink alone checks the radius by the same rule
+    with pytest.raises(ScenarioError) as err:
+        estimate_grid(cfg, (2600.0,), (SilencingPolicy.none(),), downlink=False)
+    assert err.value.field == "silencing_radius"
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +237,7 @@ def test_grid_equals_reference_when_chunks_split_blocks():
     n = 8 * (netsim._BLOCK + 3)
     cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
     expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
-    regions = (netsim._silencing_annulus(cfg, 9000.0),)
+    regions = (Annulus(cfg.ring_outer_radius, 9000.0),)
     edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
     parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, True, regions, a, b) for a, b in zip(edges, edges[1:])]
     assert np.array_equal(sum(parts), expected)
@@ -337,14 +340,13 @@ def test_block_sample_equals_sample_trial():
     bs_density=st.sampled_from([0.0, 2e-9, 4e-7, 2e-6]),
     aerial_density=st.sampled_from([None, 0.0, 5e-7, 3e-6]),
     survival=st.sampled_from([0.0, 0.3, 1.0]),
-    exterior_width=st.sampled_from([0.0, 3000.0, 12000.0]),
+    exterior_width=st.sampled_from([3000.0, 12000.0]),
     first=st.integers(0, 10**6),
     n=st.integers(1, netsim._BLOCK),
     seed=st.integers(0, 2**64 - 1),
 )
 def test_property_block_sample_equals_geometry_replay(bs_density, aerial_density, survival, exterior_width,
                                                       first, n, seed):
-    # exterior_width 0 puts sim_radius on the ring's outer edge: no exterior
     ring_outer = 2600.0
     cfg = ScenarioConfig(
         disaster_radius=2000.0,
@@ -442,16 +444,6 @@ def test_radius_outside_sim_radius_rejected():
     with pytest.raises(ScenarioError) as err:
         estimate_grid(base_cfg(), (9000.0, 15000.0), POLICIES)
     assert err.value.field == "sim_radius"
-
-
-def test_uplink_needs_no_silencing_annulus():
-    # r_s on the ring's outer edge leaves no silencing area, but the uplink
-    # is still defined there (every policy acts on an empty zone).
-    cfg = base_cfg(silencing_radius=2600.0, n_trials=30)
-    none = estimate_success(cfg, SilencingPolicy.none())
-    assert estimate_success(cfg, SilencingPolicy.complete()) == none
-    (((up, down),),) = estimate_grid(cfg, (2600.0,), (SilencingPolicy.none(),), downlink=False)
-    assert up == none and down is None
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.netsim import (
     STREAM_UPLINK,
+    AerialTier,
     Band,
     ScenarioConfig,
     ScenarioError,
@@ -58,6 +59,7 @@ def unit_cfg(**overrides):
         ("disaster_radius", -1.0),
         ("active_ring_width", 0.0),
         ("silencing_radius", 2500.0),
+        ("silencing_radius", 2600.0),  # the ring's outer edge: an empty silencing annulus
         ("sim_radius", 5000.0),
         ("bs_density", -1e-6),
         ("bs_survival_prob", 1.5),
@@ -66,12 +68,30 @@ def unit_cfg(**overrides):
         ("n_trials", 0),
         ("master_seed", -1),
         ("master_seed", 2**64),
+        *[
+            (field, value)
+            for field in ("disaster_radius", "active_ring_width", "silencing_radius", "sim_radius",
+                          "bs_density", "bs_survival_prob", "device_tx_power", "bs_tx_power")
+            for value in (math.nan, math.inf)
+        ],
     ],
 )
 def test_config_validation_names_field(field, value):
     with pytest.raises(ScenarioError) as err:
         unit_cfg(**{field: value})
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("field,value", [
+    *[(field, value) for field in ("density", "altitude", "tx_power") for value in (-1.0, math.nan, math.inf)],
+    ("altitude", 0.0),
+])
+def test_aerial_tier_validation_names_field(field, value):
+    kwargs = dict(density=1e-6, altitude=300.0, tx_power=1.0)
+    kwargs[field] = value
+    with pytest.raises(ScenarioError) as err:
+        AerialTier(**kwargs)
+    assert err.value.field == f"aerial.{field}"
 
 
 def test_scenario_error_pickle_round_trip():
@@ -589,13 +609,6 @@ def test_downlink_coverage_estimate_runs():
     assert 0.0 <= est.value <= 1.0
     est_split = estimate_silencing_area_coverage(cfg, SilencingPolicy.spectrum_split())
     assert 0.0 <= est_split.value <= 1.0
-
-
-def test_downlink_coverage_rejects_empty_annulus():
-    cfg = unit_cfg(silencing_radius=2600.0, sim_radius=20000.0)
-    with pytest.raises(ScenarioError) as err:
-        estimate_silencing_area_coverage(cfg, SilencingPolicy.none())
-    assert err.value.field == "silencing_radius"
 
 
 def test_downlink_estimate_worker_invariance():

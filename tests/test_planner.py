@@ -36,7 +36,7 @@ def test_grid_validation():
         SweepGrid((0.5, 0.2), (6000.0,))  # not ascending
     with pytest.raises(ValueError):
         SweepGrid((0.2, 0.2), (6000.0,))  # not unique
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="rho must be in"):
         SweepGrid((0.2, 1.5), (6000.0,))  # outside [0, 1]
 
 
