@@ -1,10 +1,11 @@
 """Command-line interface: scenario ingestion, experiment execution, CSV and
 run-manifest emission.
 
-Exit codes: 0 success, 2 input error (missing/unparsable scenario, schema
-violation), 3 I/O error writing outputs. Data files are a pure function of
-(scenario file contents, seed, version): no timestamps, paths, or worker
-counts ever reach an output byte.
+Exit codes: 0 success (and after --help), 2 input error (bad arguments,
+missing/unparsable scenario, schema violation), 3 I/O error writing
+outputs; main returns the code rather than raising SystemExit. Data files
+are a pure function of (scenario file contents, seed, version): no
+timestamps, paths, or worker counts ever reach an output byte.
 
 Imports happen where they are used. At import, this module loads only the
 scenario loader and the dependency-free errors module. The model behind
@@ -230,32 +231,49 @@ _RUNNERS = {
 }
 
 
+# One parser serves every subcommand, since they all take the same five
+# flags; the subcommands' descriptions sit in the epilog. Building argparse
+# objects is not free: each parser looks up gettext catalogs on disk, and
+# each argument builds a help formatter, which reads the terminal size.
+_EPILOG = """\
+subcommands:
+  silencing-run    estimate disaster uplink success and silencing-area coverage per policy
+  silencing-sweep  sweep suppression factor x silencing radius and score the trade-off
+  satwet-curve     satellite charging time over altitudes and payload sizes
+  acb-run          access-class barring load under a capacity limit
+"""
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disastersim",
         description="Post-disaster cellular resilience experiments",
+        epilog=_EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("silencing-run", "estimate disaster uplink success and silencing-area coverage per policy"),
-        ("silencing-sweep", "sweep suppression factor x silencing radius and score the trade-off"),
-        ("satwet-curve", "satellite charging time over altitudes and payload sizes"),
-        ("acb-run", "access-class barring load under a capacity limit"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scenario", required=True, help="scenario YAML path")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-        p.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers (never changes results)")
+    parser.add_argument("subcommand", choices=_RUNNERS, metavar="SUBCOMMAND", help="one of the subcommands below")
+    parser.add_argument("--scenario", required=True, help="scenario YAML path")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    parser.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
+    parser.add_argument("--workers", type=positive_int, default=1, help="parallel workers (never changes results)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.workers < 1:
-        print("error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on an argv error; main returns
+        # every exit code instead of raising.
+        return exc.code
 
     try:
         doc = load_scenario(args.scenario, seed_override=args.seed, trials_override=args.trials)

@@ -176,7 +176,8 @@ def _fields(node: dict, keys: dict, path: str, required=()) -> dict:
     """Model keyword arguments from the keys of `node` that `keys` maps.
 
     A key the file omits, or sets to null, is left out, so the model's own
-    default applies; a key in `required` must be present.
+    default applies; a key in `required` must be present. A unit conversion
+    that overflows a float (10 ** (4000 / 10)) is an error at the key.
     """
     kwargs = {}
     for key, field in keys.items():
@@ -185,7 +186,11 @@ def _fields(node: dict, keys: dict, path: str, required=()) -> dict:
                 raise ScenarioError(f"{path}.{key}", "required key is missing")
             continue
         field, convert = field if isinstance(field, tuple) else (field, float)
-        kwargs[field] = convert(_number(node[key], f"{path}.{key}"))
+        value = _number(node[key], f"{path}.{key}")
+        try:
+            kwargs[field] = convert(value)
+        except OverflowError:
+            raise ScenarioError(f"{path}.{key}", f"must convert to a finite value, got {value!r}") from None
     return kwargs
 
 

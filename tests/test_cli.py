@@ -1,13 +1,15 @@
+import argparse
 import csv
 import math
 import os
+import re
 import stat
 import textwrap
 
 import pytest
 import yaml
 
-from disastersim import netsim, scenario
+from disastersim import cli, netsim, scenario
 from disastersim.cli import emit_results, format_value, main, manifest_path
 
 SILENCING_SCENARIO = """
@@ -302,6 +304,65 @@ def test_invalid_workers_rejected(tmp_path, capsys):
     assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "x.csv", "--workers", 0]) == 2
 
 
+# ---------------------------------------------------------------------------
+# argv handling
+# ---------------------------------------------------------------------------
+
+def test_unknown_subcommand_exits_2_without_outputs(tmp_path, capsys):
+    scenario = write(tmp_path, SATWET_SCENARIO)
+    out = tmp_path / "never.csv"
+    assert run(["satwet-run", "--scenario", scenario, "--out", out]) == 2
+    assert "invalid choice: 'satwet-run'" in capsys.readouterr().err
+    assert not out.exists()
+    assert not manifest_path(out).exists()
+
+
+@pytest.mark.parametrize("missing", ["--scenario", "--out"])
+def test_missing_required_flag_exits_2(tmp_path, capsys, missing):
+    flags = {"--scenario": write(tmp_path, SATWET_SCENARIO), "--out": tmp_path / "x.csv"}
+    del flags[missing]
+    assert run(["satwet-curve", *[v for pair in flags.items() for v in pair]]) == 2
+    assert f"the following arguments are required: {missing}" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_help_lists_every_subcommand_with_its_description(capsys):
+    assert run(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name, description in [
+        ("silencing-run", "estimate disaster uplink success and silencing-area coverage per policy"),
+        ("silencing-sweep", "sweep suppression factor x silencing radius and score the trade-off"),
+        ("satwet-curve", "satellite charging time over altitudes and payload sizes"),
+        ("acb-run", "access-class barring load under a capacity limit"),
+    ]:
+        assert re.search(rf"^  {name} +{description}$", out, re.MULTILINE), name
+    for flag in ["--scenario", "--out", "--seed", "--trials", "--workers"]:
+        assert flag in out
+
+
+def test_parser_choices_are_the_runners():
+    (action,) = [a for a in cli.build_parser()._actions if a.dest == "subcommand"]
+    assert set(action.choices) == set(cli._RUNNERS)
+
+
+def test_each_main_call_builds_one_fresh_parser(tmp_path, monkeypatch):
+    # Counts every ArgumentParser, subparsers included; a cached parser
+    # would count once.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    scenario = write(tmp_path, SATWET_SCENARIO)
+    assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "a.csv"]) == 0
+    assert len(built) == 1
+    assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "b.csv"]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 @pytest.mark.parametrize(
     "subcommand,text,field",
     [
@@ -318,8 +379,21 @@ def test_invalid_workers_rejected(tmp_path, capsys):
             "acb: {capacity_per_s: 10.0, classes: [{name: a, acdc_category: 1, arrival_rate_per_s: 1.0e+300, admit_prob: 1.0}]}",
             "acb.classes[0].arrival_rate_per_s",
         ),
+        (
+            "silencing-run",
+            "silencing: {bs_density_per_m2: 1.0e-06, channel: {sinr_threshold_db: 4000.0}}",
+            "silencing.channel.sinr_threshold_db",
+        ),
+        (
+            "silencing-run",
+            "silencing: {bs_density_per_m2: 1.0e-06, channel: {noise_dbm: 4000.0}}",
+            "silencing.channel.noise_dbm",
+        ),
     ],
-    ids=["ring-edge-radius", "ring-edge-sweep-radius", "second-height", "second-payload", "acb-arrivals-overflow"],
+    ids=[
+        "ring-edge-radius", "ring-edge-sweep-radius", "second-height", "second-payload", "acb-arrivals-overflow",
+        "sinr-threshold-db-overflow", "noise-dbm-overflow",
+    ],
 )
 def test_inputs_a_run_would_reject_exit_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, text, field):
     def fail(*args):

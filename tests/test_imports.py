@@ -45,13 +45,18 @@ print(json.dumps(stages))
 """
 
 
-def run_fresh(*args: str) -> str:
-    """Standard output of `python -c args...` in a fresh interpreter."""
+def python(*args: str) -> subprocess.CompletedProcess:
+    """`python args...` in a fresh interpreter that imports this checkout's package."""
     src = str(Path(disastersim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", *args], env=env, capture_output=True, text=True)
+    child = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    return child.stdout
+    return child
+
+
+def run_fresh(*args: str) -> str:
+    """Standard output of `python -c args...` in a fresh interpreter."""
+    return python("-c", *args).stdout
 
 
 def modules_loaded(watched, scenarios=(), runs=()) -> dict[str, list[str]]:
@@ -76,6 +81,17 @@ def test_analytic_subcommands_never_load_the_engine(tmp_path):
 def test_silencing_scenario_loads_no_analytic_model():
     stages = modules_loaded(ENGINE + ANALYTIC, [["fig5", str(SCENARIOS / "paper_fig5.yaml")]])
     assert stages["fig5"] == sorted(ENGINE)
+
+
+def test_help_loads_no_model():
+    # `python -m disastersim.cli --help` itself, with -X importtime listing
+    # every module the interpreter imports on standard error.
+    child = python("-X", "importtime", "-m", "disastersim.cli", "--help")
+    assert "acb-run" in child.stdout
+    imported = {line.rsplit("|", 1)[1].strip() for line in child.stderr.splitlines() if line.startswith("import time:")}
+    assert "disastersim.scenario" in imported
+    models = ["netsim", "planner", "geometry", "channel", "satwet", "acb"]
+    assert sorted(imported & {f"disastersim.{m}" for m in models}) == []
 
 
 def test_scenario_error_is_one_class():
