@@ -29,7 +29,7 @@ import yaml
 
 from . import __version__
 from .errors import ScenarioError
-from .scenario import load_scenario
+from .scenario import _ACB_KEYS, _CHARGING_KEYS, _SATWET_KEYS, _SILENCING_KEYS, load_scenario
 
 if TYPE_CHECKING:
     from .scenario import ScenarioDocument
@@ -85,6 +85,11 @@ def write_manifest(output_path: str | Path, entries: dict):
     manifest_path(output_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _model_entries(model, keys: dict) -> dict:
+    """Each scenario key of a loader table with the value the model holds for its field."""
+    return {key: getattr(model, field) for key, field in keys.items()}
+
+
 def _config_entries(doc: ScenarioDocument, subcommand: str) -> dict:
     entries = {
         "artifact": "disastersim",
@@ -94,17 +99,9 @@ def _config_entries(doc: ScenarioDocument, subcommand: str) -> dict:
     }
     if subcommand in ("silencing-run", "silencing-sweep"):
         cfg = doc.silencing.config
+        entries.update(seed=cfg.master_seed, n_trials=cfg.n_trials, **_model_entries(cfg, _SILENCING_KEYS))
+        # the channel's manifest keys name the converted values, not its dB YAML keys
         entries.update(
-            seed=cfg.master_seed,
-            n_trials=cfg.n_trials,
-            disaster_radius_m=cfg.disaster_radius,
-            active_ring_width_m=cfg.active_ring_width,
-            silencing_radius_m=cfg.silencing_radius,
-            sim_radius_m=cfg.sim_radius,
-            bs_density_per_m2=cfg.bs_density,
-            bs_survival_prob=cfg.bs_survival_prob,
-            device_tx_power_w=cfg.device_tx_power,
-            bs_tx_power_w=cfg.bs_tx_power,
             path_loss_exponent=cfg.channel.path_loss_exponent,
             reference_gain_at_1m=cfg.channel.reference_gain_at_1m,
             noise_power_w=cfg.channel.noise_power,
@@ -116,28 +113,18 @@ def _config_entries(doc: ScenarioDocument, subcommand: str) -> dict:
         )
     elif subcommand == "satwet-curve":
         sw = doc.satwet
+        entries.update(_model_entries(sw.params, _SATWET_KEYS), mode=sw.mode)
         entries.update(
-            frequency_hz=sw.params.frequency,
-            sat_tx_power_w=sw.params.sat_tx_power,
-            sat_tx_gain=sw.params.sat_tx_gain,
-            ground_rx_gain=sw.params.ground_rx_gain,
-            rf_to_dc_efficiency=sw.params.rf_to_dc_efficiency,
-            min_elevation_deg=sw.params.min_elevation,
-            mode=sw.mode,
-            energy_per_bit_j=sw.model.energy_per_bit,
+            _model_entries(sw.model, _CHARGING_KEYS),
             heights_m=" ".join(format_value(h) for h in sw.heights),
             payload_bits=" ".join(format_value(b) for b in sw.payloads),
         )
     elif subcommand == "acb-run":
         spec = doc.acb
-        entries.update(
-            seed=doc.seed,
-            capacity_per_s=spec.capacity,
-            horizon_s=spec.horizon,
-            classes=" ".join(
-                f"{c.name}:cat{c.acdc_category}:rate{c.arrival_rate}:admit{c.admit_prob}"
-                for c in spec.profile.classes
-            ),
+        entries.update(seed=doc.seed, **_model_entries(spec, _ACB_KEYS))
+        entries["classes"] = " ".join(
+            f"{c.name}:cat{c.acdc_category}:rate{c.arrival_rate}:admit{c.admit_prob}"
+            for c in spec.profile.classes
         )
     return entries
 

@@ -27,13 +27,22 @@ outer zones by radius, so a trial's realization is identical at every
 (silencing radius, policy) point. estimate_grid uses this: it samples each
 trial once and scores every point from that one realization.
 
-Interference is summed in two groups, by the engine and by the reference
-kernels uplink_sinr / downlink_sinr alike: I_fix over the interferers
-outside the silencing zone, and I_sil over the silencing-zone interferers
-at full power. A policy with power factor f then sees I_fix + f * I_sil.
-For rho > 0 the serving station does not depend on rho, so two sums per
-(trial, radius) score every rho; the downlink's rho = 0 and spectrum_split
-servers differ, and each keeps one sum of its own.
+Interference has one summation order, shared by the engine and by the
+reference kernels uplink_sinr / downlink_sinr. Every sum is sequential,
+each term added to the sum of the ones before it (_prefix_sums), over the
+interferers of one group in station order:
+
+    I_inner  the disaster- and ring-zone interferers, first to last
+    I_outer  the outer-zone interferers, last to first (from the far edge in)
+    I_sil    the silencing-zone interferers at full power, first to last
+
+and I_fix = I_inner + I_outer. A policy with power factor f then sees
+I_fix + f * I_sil. A sequential sum does not change when a +0.0 term is
+added, so a sum over zero-padded rows or over terms zeroed by a mask has
+the bits of the sum over the kept terms alone. For rho > 0 the serving
+station does not depend on rho, so two sums per (trial, radius) score every
+rho; the downlink's rho = 0 and spectrum_split servers differ, and each
+gets its own pair, in which the stations that do not transmit add 0.0.
 
 Sampling is split into draws and placement (see geometry). _sample_trial
 makes every generator call of one trial's realization and places nothing;
@@ -43,17 +52,20 @@ Placement is elementwise, so a station gets the same coordinates whether
 its trial is placed alone (build_network, a one-trial block) or in a block.
 
 estimate_grid walks its trials in blocks of _BLOCK. Per trial, it calls
-_sample_trial and draws the fading, resetting each stream once. Once per
-block, on the block's stations concatenated into ragged arrays, it places
-the stations, builds the zone masks of every radius, computes distances,
-path gains and the full-power received terms, and finds each trial's
-serving station as the first index of its segment minimum
-(np.minimum.reduceat). Only the grouped sums stay per trial: each is one
-1-D pairwise sum over the same stations in the same order as the kernels'
-np.sum, because batched sums (np.add.reduceat, row sums over padded rows)
-add in another order and change last bits. Every policy is then scored
-from them at once. The block is a small constant, because every batched
-array, and so peak memory, grows with it.
+_sample_trial and draws the fading, resetting each stream once. Everything
+else runs once per block, on the block's stations concatenated into ragged
+arrays: it places the stations, counts each trial's silencing-zone
+stations at every radius, computes distances, path gains and the
+full-power received terms, and finds each trial's serving station as the
+first index of its segment minimum (np.minimum.reduceat). A trial's
+exterior stations are contiguous, and its silencing zone at a radius is
+the first of them, as many as lie within the radius (they are sampled in
+ascending radius), and its outer zone the rest: one forward and one
+backward prefix sum over each trial's exterior row give I_sil and I_outer
+at every radius (_trial_sums). The uplink's terms do not depend on the
+radius, so it sums once per block for every radius. Every policy is then
+scored from the sums at once. The block is a small constant, because
+every batched array, and so peak memory, grows with it.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
@@ -67,7 +79,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 import math
 from typing import NamedTuple
@@ -401,9 +413,11 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     Stations arrive as independent PPPs at bs_density per zone: the disaster
     disk (then survival-thinned via alive marks), the active ring, and the
     exterior annulus out to sim_radius, which is split into silencing and
-    outer zones by radius against cfg.silencing_radius. Splitting one
-    exterior process by radius keeps realizations comparable across
-    silencing radii with common random numbers.
+    outer zones by radius against cfg.silencing_radius: the silencing zone
+    is the first exterior stations, as many as lie within that radius (see
+    _Block.silencing_counts). Splitting one exterior process by radius
+    keeps realizations comparable across silencing radii with common random
+    numbers.
     """
     draws = _sample_trial(
         cfg,
@@ -413,7 +427,8 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     block = _place_block(cfg, [draws])
     n = block.tier.size
     zone = _TIER_ZONE[block.tier]
-    zone[block.exterior & (block.radius > cfg.silencing_radius)] = Zone.OUTER
+    (inside,) = block.silencing_counts((cfg.silencing_radius,))
+    zone[block.exterior & ~block.silencing_zone(inside)] = Zone.OUTER
     return NetworkSnapshot(
         xy=np.column_stack((block.x, block.y)),
         zone=zone,
@@ -448,27 +463,47 @@ def _distances_3d(xy: np.ndarray, alt: np.ndarray, point_xy: np.ndarray, point_a
     return np.sqrt(planar_sq + (alt - point_alt) ** 2)
 
 
+def _prefix_sums(terms: np.ndarray) -> np.ndarray:
+    """Sequential prefix sums along the last axis, the one summation order of
+    every interference sum: out[..., k] is the sum of the first k terms,
+    added first to last, and out[..., 0] is 0.0.
+
+    Each sum adds one term to the sum before it, so it has one result
+    whatever the array's shape or NumPy's dispatch. Terms are never
+    negative, and adding +0.0 changes no sum, so zero padding and zeroed
+    terms leave every sum's bits as they are.
+    """
+    out = np.zeros((*terms.shape[:-1], terms.shape[-1] + 1))
+    terms.cumsum(axis=-1, out=out[..., 1:])
+    return out
+
+
 def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: np.ndarray,
                           bs_fading: np.ndarray, point_xy: np.ndarray, point_alt: float) -> float:
     """Interference at a point from the marked stations, as I_fix + f * I_sil.
 
-    I_fix sums pf*tx*h*g over the interferers outside the silencing zone;
-    I_sil sums tx*h*g over the silencing-zone interferers, whose one shared
-    power factor is f (1.0 if there are none). This is the grouping the
-    silencing engine sums, so both give the same bits.
+    Each term is pf*tx*h*g, and tx*h*g in the silencing zone, whose one
+    shared power factor is f (1.0 if it has no interferers). I_fix =
+    I_inner + I_outer. I_inner sums the disaster- and ring-zone terms first
+    to last, I_outer the outer-zone terms last to first (from the far edge
+    inward), and I_sil the silencing-zone terms first to last, each with
+    _prefix_sums. The silencing engine sums the same groups in the same
+    order, so both give the same bits.
     """
     idx = np.flatnonzero(interferers)
-    d = _distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt)
-    gains = path_gain(np.maximum(d, ch.min_distance), ch)
-    sil = net.zone[idx] == Zone.SILENCING
-    out, zone = idx[~sil], idx[sil]
-    factors = net.power_factor[zone]
+    zone = net.zone[idx]
+    sil, outer = zone == Zone.SILENCING, zone == Zone.OUTER
+    factors = net.power_factor[idx[sil]]
     f = float(factors[0]) if factors.size else 1.0
     if np.any(factors != f):
         raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
-    i_fix = np.sum(net.power_factor[out] * net.tx_power[out] * bs_fading[out] * gains[~sil])
-    i_sil = np.sum(net.tx_power[zone] * bs_fading[zone] * gains[sil])
-    return float(i_fix + f * i_sil)
+    d = _distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt)
+    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    terms = np.where(sil, 1.0, net.power_factor[idx]) * net.tx_power[idx] * bs_fading[idx] * gains
+    i_inner = _prefix_sums(terms[~(sil | outer)])[-1]
+    i_outer = _prefix_sums(terms[outer][::-1])[-1]
+    i_sil = _prefix_sums(terms[sil])[-1]
+    return float(i_inner + i_outer + f * i_sil)
 
 
 def uplink_sinr(
@@ -610,7 +645,8 @@ class _Block:
     """The realizations of consecutive trials as ragged station arrays.
 
     Trial i owns entries bounds[i]:bounds[i + 1], ordered as its draws:
-    [disaster, ring, aerial, exterior by ascending radius].
+    [disaster, ring, aerial, exterior by ascending radius], so its last
+    n_exterior[i] stations are its exterior ones.
     """
 
     bounds: np.ndarray  # (n_trials + 1,)
@@ -623,6 +659,8 @@ class _Block:
     exterior: np.ndarray  # (n,) bool, silencing or outer zone
     radius: np.ndarray  # (n,) m, hypot(x, y)
     device: np.ndarray  # (n_trials, 2) m
+    n_inner: np.ndarray  # (n_trials,) disaster, ring and aerial stations
+    n_exterior: np.ndarray  # (n_trials,)
     up_fading: tuple | None = None  # (device link (n_trials,), stations (n,))
     down_draws: tuple | None = None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
@@ -630,9 +668,33 @@ class _Block:
     def n_trials(self) -> int:
         return self.bounds.size - 1
 
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """(n,) each station's trial."""
+        return np.repeat(np.arange(self.n_trials), np.diff(self.bounds))
+
     def spread(self, per_trial: np.ndarray) -> np.ndarray:
         """A per-trial array with each entry repeated for every station of its trial."""
-        return np.repeat(per_trial, np.diff(self.bounds))
+        return per_trial[self.owner]
+
+    def silencing_zone(self, inside: np.ndarray) -> np.ndarray:
+        """(n,) bool, the silencing-zone stations: the first inside[t]
+        exterior stations of each trial t (see silencing_counts)."""
+        first_exterior = self.bounds[1:] - self.n_exterior
+        return self.exterior & (np.arange(self.tier.size) < self.spread(first_exterior + inside))
+
+    def silencing_counts(self, radii) -> np.ndarray:
+        """(n_trials, len(radii)): how many of each trial's exterior stations
+        lie within each radius.
+
+        A trial's silencing zone at a radius is its first that many exterior
+        stations, and its outer zone the rest (see silencing_zone), so I_sil
+        and I_outer are prefix sums of its exterior row (see _trial_sums).
+        Exterior stations are sampled by ascending radius, so these are the
+        stations within the radius whenever their hypot(x, y) ascends too.
+        """
+        owner, radius = self.owner[self.exterior], self.radius[self.exterior]
+        return np.array([np.bincount(owner[radius <= r_s], minlength=self.n_trials) for r_s in radii]).T
 
 
 def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
@@ -680,6 +742,8 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
         exterior=exterior,
         radius=np.hypot(x, y),
         device=device,
+        n_inner=sizes[:, :_EXTERIOR].sum(axis=1),
+        n_exterior=sizes[:, _EXTERIOR],
     )
 
 
@@ -750,35 +814,53 @@ def _nearest(bounds: np.ndarray, candidates: np.ndarray, d: np.ndarray) -> np.nd
     return nearest
 
 
-def _trial_sums(bounds: np.ndarray, terms: np.ndarray, on: np.ndarray) -> np.ndarray:
-    """Per trial (stations bounds[i]:bounds[i + 1]), terms[on] summed over
-    that trial's stations alone.
+def _windows(values: np.ndarray, width: int) -> np.ndarray:
+    """A view of a contiguous 1-D array's windows, each sharing its memory:
+    row i is values[i:i + width]."""
+    return np.ndarray((values.size - width + 1, width), values.dtype, values, strides=values.strides * 2)
 
-    Each sum is one 1-D reduction over the trial's terms in station order,
-    the pairwise sum np.sum takes in uplink_sinr and downlink_sinr. Batched
-    forms add in another order and change last bits: np.add.reduceat sums
-    sequentially, and a 2-D row sum needs zero-padded rows, which changes
-    each row's pairwise tree.
+
+def _trial_sums(block: _Block, terms: np.ndarray, on: np.ndarray, inside: np.ndarray):
+    """(I_fix, I_sil) per trial over terms[on], with inside[t, k] of trial
+    t's exterior stations in the silencing zone at radius k; two
+    (n_trials, k) arrays.
+
+    The kept terms, and 0.0 for the others, are laid out in rows, one per
+    trial and group, and one _prefix_sums call sums each group's rows: the
+    trial's inner stations (I_inner is the sum of all of them), its
+    exterior stations (I_sil is the sum of the first inside[t, k]), and its
+    exterior stations from the last to the first (I_outer is the sum of the
+    rest, from the far edge inward). A row may run on into other trials'
+    terms or the zero padding; no sum reads them. These are
+    _grouped_interference's sums.
     """
-    idx = np.flatnonzero(on)
-    kept = terms[idx]
-    ends = np.searchsorted(idx, bounds).tolist()
-    add = np.add.reduce
-    return np.array([add(kept[a:b]) for a, b in zip(ends, ends[1:])])
+    n_inner, outside = block.n_inner[:, None], block.n_exterior[:, None] - inside
+    pad = max(1, n_inner.max(), block.n_exterior.max())  # the longest row
+    kept = np.zeros(terms.size + 2 * pad)
+    np.copyto(kept[pad:pad + terms.size], terms, where=on)
+    rows = _windows(kept, pad)  # rows[pad + i] starts at station i
+    trials = np.arange(block.n_trials)[:, None]
+    inner = rows[pad + block.bounds[:-1], :n_inner.max()]
+    exterior = rows[pad + block.bounds[1:] - block.n_exterior, :inside.max()]
+    reverse = rows[block.bounds[1:], pad - outside.max():][:, ::-1]  # from each trial's last station back
+    i_inner = _prefix_sums(inner)[trials, n_inner]
+    i_outer = _prefix_sums(reverse)[trials, outside]
+    return i_inner + i_outer, _prefix_sums(exterior)[trials, inside]
 
 
-def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors: np.ndarray, counts: np.ndarray):
+def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factors: np.ndarray, counts: np.ndarray):
     """Add a block's uplink (successes, holes) to counts[radius, policy].
 
-    factors[j] is policy j's power factor on the disaster band inside the
-    silencing zone. The serving station depends on neither radius nor
-    policy, so it and its gains to every station are found once per trial,
-    and each radius needs only the two sums I_fix and I_sil.
+    inside[t, k] is trial t's silencing-zone station count at radius k, and
+    factors[j] policy j's power factor on the disaster band inside the
+    silencing zone. The serving station and the received terms depend on
+    neither radius nor policy, so they are found once per trial, and one
+    _trial_sums call gives I_fix and I_sil at every radius.
     """
     ch = cfg.channel
     g, h = block.up_fading
     candidates = np.flatnonzero(block.alive & ~block.exterior)
-    owner = np.searchsorted(block.bounds, candidates, side="right") - 1
+    owner = block.owner[candidates]
     planar_sq = (block.x[candidates] - block.device[owner, 0]) ** 2 + (block.y[candidates] - block.device[owner, 1]) ** 2
     alt = block.alt[candidates] if block.alt is not None else 0.0
     d_device = np.sqrt(planar_sq + alt * alt)
@@ -793,26 +875,24 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, sil_masks, factors: np.nda
     src = np.maximum(serving, 0)  # a trial without a server is never scored
     d = _distances(block, block.x[src], block.y[src], block.alt[src] if block.alt is not None else None)
     gains = path_gain(np.maximum(d, ch.min_distance), ch)
-    full = block.tx * h * gains
     on = block.alive.copy()
     on[s] = False
-    for k, sil in enumerate(sil_masks):
-        i_fix = _trial_sums(block.bounds, full, on & ~sil)[served][:, None]
-        i_sil = _trial_sums(block.bounds, full, on & sil)[served][:, None]
-        denom = i_fix + factors * i_sil + ch.noise_power
-        counts[k, :, 0] += ((denom == 0.0) | (signal[:, None] / denom >= ch.sinr_threshold)).sum(axis=0)
+    i_fix, i_sil = (sums[served][:, :, None] for sums in _trial_sums(block, block.tx * h * gains, on, inside))
+    denom = i_fix + factors * i_sil + ch.noise_power
+    counts[:, :, 0] += ((denom == 0.0) | (signal[:, None, None] / denom >= ch.sinr_threshold)).sum(axis=0)
 
 
-def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policies, region: Annulus,
+def _count_downlink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, policies, region: Annulus,
                     counts: np.ndarray):
     """Add a block's silencing-area (successes, holes) at one radius to counts[policy].
 
+    inside[t, 0] is trial t's silencing-zone station count at the radius.
     The user and the fading depend on the radius only, so distances and
     gains to every station are found once per trial. The serving station
     depends only on which stations transmit on the user's band: all of
     them (rho > 0: I_fix and I_sil score every rho), all but the silenced
-    ones (rho = 0: I_fix alone), or (spectrum_split) only the retuned ones
-    (I_sil alone).
+    ones (rho = 0), or (spectrum_split) only the retuned ones. The stations
+    that do not transmit are zeroed, so their group sums to 0.0.
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
@@ -820,6 +900,7 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policie
     d = _distances(block, user[:, 0], user[:, 1])
     gains = path_gain(np.maximum(d, ch.min_distance), ch)
     full = block.tx * h * gains
+    sil = block.silencing_zone(inside[:, 0])
     bands = {}
     for j, policy in enumerate(policies):
         if policy.kind == "spectrum_split":
@@ -838,11 +919,7 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, sil: np.ndarray, policie
         served = serving >= 0
         s = serving[served]
         on[s] = False
-        if band == "all":
-            i_fix, i_sil = (_trial_sums(block.bounds, full, on & zone)[served][:, None] for zone in (~sil, sil))
-        else:  # one group transmits, and the other's sum is 0.0
-            one, zero = _trial_sums(block.bounds, full, on)[served][:, None], np.zeros((s.size, 1))
-            i_fix, i_sil = (zero, one) if band == "retuned" else (one, zero)
+        i_fix, i_sil = (sums[served] for sums in _trial_sums(block, full, on, inside))
         factors = np.array([policies[j].silencing_power_factor for j in members])
         signal = np.where(sil[s][:, None], factors, 1.0) * block.tx[s][:, None] * g[served][:, None] * gains[s][:, None]
         denom = i_fix + factors * i_sil + ch.noise_power
@@ -868,11 +945,11 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, st
         for first in range(start, stop, _BLOCK):
             trials = range(first, min(first + _BLOCK, stop))
             block = _sample_block(cfg, streams, trials, uplink, regions is not None)
-            sil_masks = [block.exterior & (block.radius <= r_s) for r_s in radii]
+            inside = block.silencing_counts(radii)
             if uplink:
-                _count_uplink(cfg, block, sil_masks, up_factors, counts[:, :, :2])
+                _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
             for k, region in enumerate(regions or ()):
-                _count_downlink(cfg, block, sil_masks[k], policies, region, counts[k, :, 2:])
+                _count_downlink(cfg, block, inside[:, k:k + 1], policies, region, counts[k, :, 2:])
     return counts
 
 

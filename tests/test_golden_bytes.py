@@ -23,11 +23,11 @@ FIG5 = SCENARIOS / "paper_fig5.yaml"
 GOLDEN = {
     ("silencing-run", 200, 1): (
         "6c5c0964a86c4157082ef70c3e7fb715a5fb77852d658aa64c0ac1c59370f4ad",
-        "6166012e2feebd35bef0eed6a03dafad0e6a05ea5cb87b47f45b329889132d53",
+        "2393b97e4f23927d91e20a31b379a2ae4211341f1695758bb8ab5237c6bf725b",
     ),
     ("silencing-sweep", 60, 2): (
         "0698d88e66e7f51fb4528126b95f3d4630622ec8ea770754e862595b07b8e762",
-        "fb45b47c142a8e9d50d973e7b6ebbb4f70add02f01944990f3f444db27b41754",
+        "7682c015f80971faf84c2840c37987f5954a0904ffcedac9509794a88848618a",
     ),
 }
 
@@ -104,11 +104,11 @@ silencing:
 AERIAL_GOLDEN = {
     ("silencing-run", 120, 2): (
         "c2f603863f41dba0afad738a502b9a501ee3c33945fad28afec423d9ef01b7c6",
-        "4b24faf2cbc7735c4ebb977fbde04ae9a3b7d08925cc693ae0c26648b17163cc",
+        "260ca7a956daf5c4fefb13674cf9f8a1e3ec20f072dd50a35c560eec82d85c86",
     ),
     ("silencing-sweep", 40, 1): (
         "a08ce6864b34bc8d93291cb8c97f88ddacbdf3a2490180bac18594b974c0b340",
-        "1b1143a93b140b7d9e29297e137bdb7e2d106c940b2180f09252e4a9a7cc4775",
+        "e3696538d69431bed55670fc02db67937db592d8e4c208ea5d9485d8f10f24c3",
     ),
 }
 
@@ -138,19 +138,19 @@ satwet:
 SCENARIO_GOLDEN = {
     ("satwet-curve", "paper_fig4.yaml", ()): (
         "90e767555265a57af4b5316c3423d13161dfef1ef9371b643072272790bc71be",
-        "e6fbb019b54d44d61ff3326cc4a3a51c17a8526814e2005134745591013593f8",
+        "b736d689810b66f25c69c9ebe5c7a32c194dfc110994705a9241d072693f89a8",
     ),
     ("acb-run", "acb_example.yaml", ()): (
         "e4b26dd40fcc16acda8e75f63b02f26d06f599f2f040014e12180b5cc50b9f53",
-        "65fb08fe04c1533221b353caa6ed089c288edfff3febee7406bf080d8b991678",
+        "4b759b3bb75a67b3543b56e3eeaf1a5f8ca8fe1a8c968febc71b67dc378c8f2c",
     ),
     ("silencing-run", "defaults", ("--trials", "100")): (
         "bb78adfcb4ec9eb9f0d073487dbc5c44dc7fbc848cd54ffb7aa4941a870e0ce9",
-        "eafb47962d2da92aec428378c866c85e6a7abb9840ee79eff526e6654ed475e4",
+        "eae42bdb841445afb43132d74ff8f33eab1a08ff2d1d10e6c4289a2ce47ee1d8",
     ),
     ("satwet-curve", "defaults", ()): (
         "d5dde81e53f193ec9b5c35857b7fcd0162f6ab9de265f20ee40c24e851d5d62d",
-        "8c1db8d49fed585da9273d9ec12359bb015dbe31996e0ec02eaf55c0f25d7b7b",
+        "82c2909fd9facb2a9cadd496f4f7dedc2cae36723d922647750aea4a582fae56",
     ),
 }
 

@@ -162,13 +162,13 @@ def count_trial_sums(monkeypatch, cfg, radii, rhos) -> int:
 
 
 def test_trial_sums_do_not_grow_with_the_rho_count(monkeypatch):
-    # one block: per radius, the uplink's I_fix and I_sil, the downlink's two
-    # for rho > 0, and one for the rho = 0 server
+    # one block: one uplink call serves every radius; per radius, one
+    # downlink call for the rho > 0 server and one for the rho = 0 server
     cfg = base_cfg(n_trials=netsim._BLOCK)
     radii = (5000.0, 9000.0, 14000.0)
     two = count_trial_sums(monkeypatch, cfg, radii, (0.0, 1.0))
     eleven = count_trial_sums(monkeypatch, cfg, radii, np.linspace(0.0, 1.0, 11))
-    assert two == eleven == 5 * len(radii)
+    assert two == eleven == 1 + 2 * len(radii)
 
 
 def test_silencing_zone_factors_must_agree():
@@ -398,15 +398,72 @@ def test_property_nearest_is_per_trial_argmin(trials):
     assert netsim._nearest(bounds, candidates, d_all[candidates]).tolist() == expected
 
 
-def test_trial_sums_equal_per_trial_sums():
-    rng = np.random.default_rng(4)
-    sizes = [0, 5, 0, 300, 1, 0, 129, 0]
-    bounds = np.cumsum([0] + sizes)
-    terms = rng.exponential(size=bounds[-1]) * rng.uniform(1e-12, 1e-6, size=bounds[-1])
-    on = rng.random(bounds[-1]) < 0.8
-    sums = netsim._trial_sums(bounds, terms, on)
-    expected = [terms[lo:hi][on[lo:hi]].sum() for lo, hi in zip(bounds, bounds[1:])]
-    assert sums.tolist() == expected
+def sequential_sums(inner, exterior, inside):
+    """(I_fix, I_sil) of one trial's (term, on) stations, with the first
+    `inside` exterior stations in the silencing zone, in the summation
+    order of the netsim module docstring."""
+    i_inner = i_sil = i_outer = 0.0
+    for term, on in inner:
+        if on:
+            i_inner += term
+    for term, on in exterior[:inside]:
+        if on:
+            i_sil += term
+    for term, on in reversed(exterior[inside:]):
+        if on:
+            i_outer += term
+    return i_inner + i_outer, i_sil
+
+
+def kernel_sums(inner, exterior, inside):
+    """(I_fix, I_fix + I_sil) from _grouped_interference on a snapshot of the
+    same stations: every station sits at the point, so each gain is 1.0 and
+    each term is its station's tx power."""
+    zones = ([netsim.Zone.DISASTER, netsim.Zone.ACTIVE_RING] * len(inner))[:len(inner)]
+    zones += [netsim.Zone.SILENCING] * inside + [netsim.Zone.OUTER] * (len(exterior) - inside)
+    stations = [dict(x=0.0, y=0.0, zone=z, tx_power=term) for (term, _), z in zip(inner + exterior, zones)]
+    on = np.array([o for _, o in inner + exterior], dtype=bool)
+    ch = ChannelParams(path_loss_exponent=3.0)
+    sums = []
+    for f in (0.0, 1.0):
+        net = snapshot_from_stations(stations)
+        net.power_factor[net.zone == netsim.Zone.SILENCING] = f
+        sums.append(netsim._grouped_interference(net, ch, on, np.ones(net.n_bs), np.zeros(2), 0.0))
+    return tuple(sums)
+
+
+# long enough that NumPy's pairwise np.sum would add in another order
+station_terms = st.lists(st.tuples(st.floats(0.0, 1e6).map(abs), st.booleans()), max_size=40)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(station_terms.map(lambda t: t[:12]), station_terms,
+                          st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)), min_size=1, max_size=6))
+def test_property_trial_sums_are_sequential_sums(trials):
+    # ragged blocks with empty trials, trials without exterior stations, random
+    # interferer masks and, per trial, two random silencing-zone counts
+    cfg = base_cfg()
+    draws = []
+    for inner, exterior, _ in trials:
+        n_disaster = len(inner) // 2
+        tiers = (
+            (np.full(n_disaster, 0.5), np.zeros(n_disaster)),
+            (np.full(len(inner) - n_disaster, 0.5), np.zeros(len(inner) - n_disaster)),
+            (np.empty(0), np.empty(0)),
+            (np.arange(1.0, len(exterior) + 1.0), np.zeros(len(exterior))),
+        )
+        draws.append(netsim._Draws((np.array([0.5]), np.array([0.5])), np.zeros(n_disaster), tiers))
+    block = netsim._place_block(cfg, draws)
+    stations = [inner + exterior for inner, exterior, _ in trials]
+    terms = np.array([term for trial in stations for term, _ in trial])
+    on = np.array([o for trial in stations for _, o in trial], dtype=bool)
+    inside = np.array([[round(u * len(exterior)) for u in fractions] for _, exterior, fractions in trials])
+    i_fix, i_sil = netsim._trial_sums(block, terms, on, inside)
+    for t, (inner, exterior, _) in enumerate(trials):
+        for k, n_inside in enumerate(inside[t]):
+            expected = sequential_sums(inner, exterior, n_inside)
+            assert (i_fix[t, k], i_sil[t, k]) == expected
+            assert kernel_sums(inner, exterior, n_inside) == (expected[0], expected[0] + 1.0 * expected[1])
 
 
 def test_pool_is_capped_at_the_chunk_count(monkeypatch):
