@@ -9,6 +9,7 @@ out last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -32,10 +33,10 @@ class AccessClass:
     admit_prob: float  # probability a request passes barring
 
     def __post_init__(self):
-        if self.acdc_category < 1:
-            raise ValueError(f"acdc_category must be >= 1, got {self.acdc_category}")
-        if self.arrival_rate < 0.0:
-            raise ValueError(f"arrival_rate must be >= 0, got {self.arrival_rate}")
+        if not 1 <= self.acdc_category < math.inf:
+            raise ValueError(f"acdc_category must be >= 1 and finite, got {self.acdc_category}")
+        if not 0.0 <= self.arrival_rate < math.inf:
+            raise ValueError(f"arrival_rate must be >= 0 and finite, got {self.arrival_rate}")
         if not 0.0 <= self.admit_prob <= 1.0:
             raise ValueError(f"admit_prob must be in [0, 1], got {self.admit_prob}")
 
@@ -94,8 +95,8 @@ def admitted_load(profile: AcdcProfile, capacity: float | None = None) -> Access
     total = sum(rates)
     ratio = None
     if capacity is not None:
-        if capacity <= 0.0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
+        if not 0.0 < capacity < math.inf:
+            raise ValueError(f"capacity must be > 0 and finite, got {capacity}")
         ratio = total / capacity
     return AccessMetrics(
         class_names=tuple(c.name for c in profile.classes),
@@ -115,10 +116,10 @@ def simulate_access(
     then cut to capacity * horizon served requests, filling highest priority
     (lowest category) first. Deterministic for a fixed generator state; draw
     order follows profile order (arrivals then admissions per class)."""
-    if capacity <= 0.0:
-        raise ValueError(f"capacity must be > 0, got {capacity}")
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not 0.0 < capacity < math.inf:
+        raise ValueError(f"capacity must be > 0 and finite, got {capacity}")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError(f"horizon must be > 0 and finite, got {horizon}")
 
     arrivals = []
     admitted = []

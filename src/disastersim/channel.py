@@ -24,8 +24,9 @@ class ChannelParams:
     """Terrestrial link model parameters.
 
     path_loss_exponent must exceed 2 so that far-field aggregate interference
-    stays finite; min_distance guards the power-law singularity (distances
-    below it are clamped, never amplified). Every field must be finite.
+    stays finite; min_distance guards the power-law singularity: distances
+    below it are clamped to it, never amplified, by _clamped_path_gain, the
+    one place that clamps. Every field must be finite.
     """
 
     path_loss_exponent: float = 4.0
@@ -60,12 +61,20 @@ def path_gain(distance, params: ChannelParams):
     """Power-law gain reference_gain_at_1m * d^(-alpha).
 
     Accepts a scalar or an array of distances. Distances must be positive;
-    values below params.min_distance are clamped to it.
+    values below params.min_distance are clamped to it (_clamped_path_gain).
     """
     d = np.asarray(distance, dtype=float)
     if np.any(d <= 0.0):
         raise ValueError("path_gain requires distance > 0")
-    d = np.maximum(d, params.min_distance)
+    gain = _clamped_path_gain(d, params)
+    return float(gain) if np.isscalar(distance) or gain.ndim == 0 else gain
+
+
+def _clamped_path_gain(distance, params: ChannelParams):
+    """path_gain without its check: any distance >= 0, clamped to
+    params.min_distance, so a station's distance to itself (0) is allowed.
+    The simulation engine calls this on raw distances."""
+    d = np.maximum(distance, params.min_distance)
     alpha = params.path_loss_exponent
     if float(alpha).is_integer():
         # Multiplications and one division are correctly rounded, so this
@@ -74,13 +83,11 @@ def path_gain(distance, params: ChannelParams):
         p = d
         for _ in range(int(alpha) - 1):
             p = p * d
-        gain = params.reference_gain_at_1m * (1.0 / p)
-    else:
-        # The ufunc, not **: on a NumPy scalar ** calls the C library's pow,
-        # which can differ in the last bit from the vectorised loop that
-        # arrays use. With np.power, path_gain(d) == path_gain(array)[i].
-        gain = params.reference_gain_at_1m * np.power(d, -alpha)
-    return float(gain) if np.isscalar(distance) or gain.ndim == 0 else gain
+        return params.reference_gain_at_1m * (1.0 / p)
+    # The ufunc, not **: on a NumPy scalar ** calls the C library's pow,
+    # which can differ in the last bit from the vectorised loop that arrays
+    # use. With np.power, path_gain(d) == path_gain(array)[i].
+    return params.reference_gain_at_1m * np.power(d, -alpha)
 
 
 def friis_gain(distance: float, frequency: float) -> float:
@@ -89,9 +96,9 @@ def friis_gain(distance: float, frequency: float) -> float:
     Written as (lambda/4pi)^2 / d^2 so that doubling the distance divides the
     gain exactly by 4 in floating point.
     """
-    if distance <= 0.0:
-        raise ValueError(f"friis_gain requires distance > 0, got {distance}")
-    if frequency <= 0.0:
-        raise ValueError(f"friis_gain requires frequency > 0, got {frequency}")
+    if not 0.0 < distance < math.inf:
+        raise ValueError(f"friis_gain requires 0 < distance < inf, got {distance}")
+    if not 0.0 < frequency < math.inf:
+        raise ValueError(f"friis_gain requires 0 < frequency < inf, got {frequency}")
     wavelength = SPEED_OF_LIGHT / frequency
     return (wavelength / (4.0 * math.pi)) ** 2 / (distance * distance)

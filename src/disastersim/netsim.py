@@ -87,7 +87,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry
-from .channel import ChannelParams, dbm_to_watts, path_gain
+from .channel import ChannelParams, _clamped_path_gain, dbm_to_watts
 from .errors import SEED_LIMIT, ScenarioError
 from .geometry import Annulus
 
@@ -432,7 +432,7 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     return NetworkSnapshot(
         xy=np.column_stack((block.x, block.y)),
         zone=zone,
-        altitude=block.alt if block.alt is not None else np.zeros(n),
+        altitude=block.alt,
         tx_power=block.tx,
         power_factor=np.ones(n),
         band=np.full(n, Band.DISASTER_BAND, dtype=np.int8),
@@ -458,8 +458,6 @@ def apply_policy(net: NetworkSnapshot, policy: SilencingPolicy) -> NetworkSnapsh
 
 def _distances_3d(xy: np.ndarray, alt: np.ndarray, point_xy: np.ndarray, point_alt: float) -> np.ndarray:
     planar_sq = (xy[:, 0] - point_xy[0]) ** 2 + (xy[:, 1] - point_xy[1]) ** 2
-    if point_alt == 0.0:
-        return np.sqrt(planar_sq + alt * alt)
     return np.sqrt(planar_sq + (alt - point_alt) ** 2)
 
 
@@ -497,8 +495,7 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     f = float(factors[0]) if factors.size else 1.0
     if np.any(factors != f):
         raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
-    d = _distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt)
-    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    gains = _clamped_path_gain(_distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt), ch)
     terms = np.where(sil, 1.0, net.power_factor[idx]) * net.tx_power[idx] * bs_fading[idx] * gains
     i_inner = _prefix_sums(terms[~(sil | outer)])[-1]
     i_outer = _prefix_sums(terms[outer][::-1])[-1]
@@ -521,7 +518,8 @@ def uplink_sinr(
     the common-random-number policy orderings exact per trial. Interference
     is the power_factor-scaled downlink radiation of every other
     disaster-band transmitter, received at the serving site. Returns
-    (sinr, serving index); (nan, -1) when no station can serve.
+    (sinr, serving index); (nan, -1) when no station can serve, or when
+    signal, interference and noise are all 0, as downlink_sinr does.
     """
     ch = cfg.channel
     servable = (
@@ -537,8 +535,7 @@ def uplink_sinr(
     d_dev = _distances_3d(net.xy[candidates], net.altitude[candidates], net.device_xy, 0.0)
     pick = int(np.argmin(d_dev))
     serving = int(candidates[pick])
-    d0 = float(d_dev[pick])
-    signal = cfg.device_tx_power * device_fading * path_gain(max(d0, ch.min_distance), ch)
+    signal = cfg.device_tx_power * device_fading * _clamped_path_gain(d_dev[pick], ch)
 
     interferers = net.alive & (net.power_factor > 0.0) & (net.band == Band.DISASTER_BAND)
     interferers[serving] = False
@@ -547,6 +544,8 @@ def uplink_sinr(
     )
     denom = interference + ch.noise_power
     if denom == 0.0:
+        if signal == 0.0:
+            return math.nan, -1
         return math.inf, serving
     return signal / denom, serving
 
@@ -556,8 +555,8 @@ def uplink_trial(net: NetworkSnapshot, cfg: ScenarioConfig, rng: np.random.Gener
 
     Draw order is fixed (device fading, then one fading per station in array
     order) so identical generator states give identical draws under every
-    policy. A trial with no serving station is a coverage hole and counts
-    as a failure.
+    policy. A trial without a serving station (see uplink_sinr) is a
+    coverage hole and counts as a failure.
     """
     g = rng.exponential()
     h = rng.exponential(size=net.n_bs)
@@ -591,13 +590,7 @@ def downlink_sinr(
     d_user = _distances_3d(net.xy[candidates], net.altitude[candidates], user_xy, 0.0)
     pick = int(np.argmin(d_user))
     serving = int(candidates[pick])
-    d0 = float(d_user[pick])
-    signal = (
-        net.power_factor[serving]
-        * net.tx_power[serving]
-        * user_fading
-        * path_gain(max(d0, ch.min_distance), ch)
-    )
+    signal = net.power_factor[serving] * net.tx_power[serving] * user_fading * _clamped_path_gain(d_user[pick], ch)
 
     others = transmitting
     others[serving] = False
@@ -653,7 +646,7 @@ class _Block:
     tier: np.ndarray  # (n,) int8, _DISASTER, _RING, _AERIAL or _EXTERIOR
     x: np.ndarray  # (n,) m
     y: np.ndarray  # (n,) m
-    alt: np.ndarray | None  # (n,) m; None without an aerial tier
+    alt: np.ndarray  # (n,) m, 0 for terrestrial stations
     tx: np.ndarray  # (n,) W
     alive: np.ndarray  # (n,) bool
     exterior: np.ndarray  # (n,) bool, silencing or outer zone
@@ -661,7 +654,7 @@ class _Block:
     device: np.ndarray  # (n_trials, 2) m
     n_inner: np.ndarray  # (n_trials,) disaster, ring and aerial stations
     n_exterior: np.ndarray  # (n_trials,)
-    up_fading: tuple | None = None  # (device link (n_trials,), stations (n,))
+    up_fading: tuple | None = None  # (device link (n_trials,), stations (n,)); set by _sample_block
     down_draws: tuple | None = None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
     @property
@@ -723,12 +716,10 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
 
     alive = np.ones(tier.size, dtype=bool)
     alive[tier == _DISASTER] = np.concatenate([d.survival for d in draws]) < cfg.bs_survival_prob
+    alt, tx = np.zeros(tier.size), np.full(tier.size, cfg.bs_tx_power)
     if cfg.aerial is not None:
         aerial = tier == _AERIAL
-        alt = np.where(aerial, cfg.aerial.altitude, 0.0)
-        tx = np.where(aerial, cfg.aerial.tx_power, cfg.bs_tx_power)
-    else:
-        alt, tx = None, np.full(tier.size, cfg.bs_tx_power)
+        alt[aerial], tx[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
     u_radius, u_angle = zip(*(d.device for d in draws))
     device = geometry._place(disaster_region, np.concatenate(u_radius), np.concatenate(u_angle))
     return _Block(
@@ -747,9 +738,9 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
     )
 
 
-def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, uplink: bool, downlink: bool) -> _Block:
+def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, downlink: bool) -> _Block:
     """Each trial's _sample_trial draws, placed as one block, and the fading
-    draws of uplink_trial and downlink_trial.
+    draws of uplink_trial and, if downlink, downlink_trial.
 
     Each Philox stream is reset once per trial and makes the reference's
     generator calls in order, merged where that gives the same numbers:
@@ -763,10 +754,9 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, upli
         trial = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
         draws.append(trial)
         n_bs = trial.n_bs
-        if uplink:
-            h = streams.get(t, STREAM_UPLINK).exponential(size=n_bs + 1)
-            up_g.append(h[0])
-            up_h.append(h[1:])
+        h = streams.get(t, STREAM_UPLINK).exponential(size=n_bs + 1)
+        up_g.append(h[0])
+        up_h.append(h[1:])
         if downlink:
             down = streams.get(t, STREAM_DOWNLINK)
             down_u.append(down.random(2))  # sample_uniform: radius, then angle
@@ -775,24 +765,16 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, upli
             down_h.append(h[1:])
 
     block = _place_block(cfg, draws)
-    if uplink:
-        block.up_fading = np.array(up_g), np.concatenate(up_h)
+    block.up_fading = np.array(up_g), np.concatenate(up_h)
     if downlink:
         block.down_draws = np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)
     return block
 
 
-def _distances(block: _Block, px: np.ndarray, py: np.ndarray, pz: np.ndarray | None = None) -> np.ndarray:
+def _distances(block: _Block, px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
     """3-D distance from every station to its trial's point, given per-trial
-    point coordinates (pz None: on the ground), with _distances_3d's
-    arithmetic. Without an aerial tier every altitude term is +0.0, and
-    adding it changes no bit, so it is left out.
-    """
+    point coordinates, with _distances_3d's arithmetic."""
     planar_sq = (block.x - block.spread(px)) ** 2 + (block.y - block.spread(py)) ** 2
-    if block.alt is None:
-        return np.sqrt(planar_sq)
-    if pz is None:
-        return np.sqrt(planar_sq + block.alt * block.alt)
     return np.sqrt(planar_sq + (block.alt - block.spread(pz)) ** 2)
 
 
@@ -862,8 +844,7 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     candidates = np.flatnonzero(block.alive & ~block.exterior)
     owner = block.owner[candidates]
     planar_sq = (block.x[candidates] - block.device[owner, 0]) ** 2 + (block.y[candidates] - block.device[owner, 1]) ** 2
-    alt = block.alt[candidates] if block.alt is not None else 0.0
-    d_device = np.sqrt(planar_sq + alt * alt)
+    d_device = np.sqrt(planar_sq + block.alt[candidates] ** 2)
     serving = _nearest(block.bounds, candidates, d_device)
     served = serving >= 0
     counts[:, :, 1] += block.n_trials - np.count_nonzero(served)
@@ -871,15 +852,17 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
         return
     s = serving[served]
     d0 = d_device[np.searchsorted(candidates, s)]
-    signal = cfg.device_tx_power * g[served] * path_gain(np.maximum(d0, ch.min_distance), ch)
+    signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
     src = np.maximum(serving, 0)  # a trial without a server is never scored
-    d = _distances(block, block.x[src], block.y[src], block.alt[src] if block.alt is not None else None)
-    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    gains = _clamped_path_gain(_distances(block, block.x[src], block.y[src], block.alt[src]), ch)
     on = block.alive.copy()
     on[s] = False
     i_fix, i_sil = (sums[served][:, :, None] for sums in _trial_sums(block, block.tx * h * gains, on, inside))
     denom = i_fix + factors * i_sil + ch.noise_power
-    counts[:, :, 0] += ((denom == 0.0) | (signal[:, None, None] / denom >= ch.sinr_threshold)).sum(axis=0)
+    # x / 0 is inf, which passes, and 0 / 0 is nan, which does not: that
+    # trial has no SINR and is a hole, as in uplink_sinr
+    counts[:, :, 0] += (signal / denom >= ch.sinr_threshold).sum(axis=0)
+    counts[:, :, 1] += ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
 
 
 def _count_downlink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, policies, region: Annulus,
@@ -897,8 +880,8 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, poli
     ch = cfg.channel
     user_u, g, h = block.down_draws
     user = geometry._place(region, user_u[0], user_u[1])
-    d = _distances(block, user[:, 0], user[:, 1])
-    gains = path_gain(np.maximum(d, ch.min_distance), ch)
+    d = _distances(block, user[:, 0], user[:, 1], np.zeros(block.n_trials))
+    gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
     sil = block.silencing_zone(inside[:, 0])
     bands = {}
@@ -923,13 +906,12 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, poli
         factors = np.array([policies[j].silencing_power_factor for j in members])
         signal = np.where(sil[s][:, None], factors, 1.0) * block.tx[s][:, None] * g[served][:, None] * gains[s][:, None]
         denom = i_fix + factors * i_sil + ch.noise_power
-        silent = (denom == 0.0) & (signal == 0.0)
-        scored[members, 0] = (~silent & ((denom == 0.0) | (signal / denom >= ch.sinr_threshold))).sum(axis=0)
-        scored[members, 1] = block.n_trials - s.size + silent.sum(axis=0)
+        scored[members, 0] = (signal / denom >= ch.sinr_threshold).sum(axis=0)  # see _count_uplink
+        scored[members, 1] = block.n_trials - s.size + ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
     counts += scored
 
 
-def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, start: int, stop: int) -> np.ndarray:
+def _count_chunk(cfg: ScenarioConfig, radii, policies, regions, start: int, stop: int) -> np.ndarray:
     """Integer counts [radius, policy, (uplink successes, uplink holes,
     downlink successes, downlink holes)] over trials [start, stop).
 
@@ -941,13 +923,12 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, uplink: bool, regions, st
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
     up_factors = np.array([0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies])
     streams = _StreamPool(cfg.master_seed)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 is only ever compared where masked out
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_count_uplink)
         for first in range(start, stop, _BLOCK):
             trials = range(first, min(first + _BLOCK, stop))
-            block = _sample_block(cfg, streams, trials, uplink, regions is not None)
+            block = _sample_block(cfg, streams, trials, regions is not None)
             inside = block.silencing_counts(radii)
-            if uplink:
-                _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
+            _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
             for k, region in enumerate(regions or ()):
                 _count_downlink(cfg, block, inside[:, k:k + 1], policies, region, counts[k, :, 2:])
     return counts
@@ -959,15 +940,15 @@ def estimate_grid(
     policies,
     workers: int = 1,
     *,
-    uplink: bool = True,
     downlink: bool = True,
-) -> list[list[tuple[Estimate | None, Estimate | None]]]:
+) -> list[list[tuple[Estimate, Estimate | None]]]:
     """Uplink success and silencing-area coverage at every (radius, policy) point.
 
     Returns grid[k][j] = (uplink, downlink) estimates for radii[k] and
-    policies[j]; a link not asked for is None. Every point is scored on the
-    same realizations (common random numbers), each sampled once per trial,
-    and the counts equal those of build_network + apply_policy +
+    policies[j]; the uplink is always scored, and the downlink is None
+    unless asked for. Every point is scored on the same realizations
+    (common random numbers), each sampled once per trial, and the counts
+    equal those of build_network + apply_policy +
     uplink_trial / downlink_trial at cfg with silencing_radius = radii[k].
     Every radius is validated as that config's before any trial is sampled,
     for the uplink and the downlink alike.
@@ -982,7 +963,7 @@ def estimate_grid(
     # keeps the result identical for any worker count.
     chunk = _BLOCK * math.ceil(n / (max(workers, 1) * 4 * _BLOCK))
     if workers <= 1 or chunk >= n:
-        counts = _count_chunk(cfg, radii, policies, uplink, regions, 0, n)
+        counts = _count_chunk(cfg, radii, policies, regions, 0, n)
     else:
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
@@ -990,12 +971,12 @@ def estimate_grid(
         # a pool forks all its workers at the first submit, so none beyond the chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
-                                 repeat(uplink), repeat(regions), starts, stops):
+                                 repeat(regions), starts, stops):
                 counts += part
     return [
         [
             (
-                _estimate(int(c[0]), int(c[1]), cfg) if uplink else None,
+                _estimate(int(c[0]), int(c[1]), cfg),
                 _estimate(int(c[2]), int(c[3]), cfg) if downlink else None,
             )
             for c in row
@@ -1016,4 +997,4 @@ def estimate_silencing_area_coverage(
     cfg: ScenarioConfig, policy: SilencingPolicy, workers: int = 1
 ) -> Estimate:
     """Downlink coverage probability for a typical user inside the silencing annulus."""
-    return estimate_grid(cfg, (cfg.silencing_radius,), (policy,), workers, uplink=False)[0][0][1]
+    return estimate_grid(cfg, (cfg.silencing_radius,), (policy,), workers)[0][0][1]

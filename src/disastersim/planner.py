@@ -9,6 +9,7 @@ hold row to row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 from .netsim import ScenarioConfig, SilencingPolicy, estimate_grid
 
@@ -49,8 +50,8 @@ class TradeoffWeights:
     w_silencing_area: float = 1.0
 
     def __post_init__(self):
-        if self.w_disaster < 0.0 or self.w_silencing_area < 0.0:
-            raise ValueError("weights must be >= 0")
+        if not (0.0 <= self.w_disaster < math.inf and 0.0 <= self.w_silencing_area < math.inf):
+            raise ValueError("weights must be >= 0 and finite")
         if self.w_disaster + self.w_silencing_area <= 0.0:
             raise ValueError("at least one weight must be positive")
 

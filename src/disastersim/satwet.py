@@ -44,8 +44,8 @@ class SatWetParams:
 
     def __post_init__(self):
         for name in ("frequency", "sat_tx_power", "sat_tx_gain", "ground_rx_gain", "altitude", "earth_radius"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be > 0")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite, got {getattr(self, name)}")
         if not 0.0 < self.rf_to_dc_efficiency <= 1.0:
             raise ValueError(f"rf_to_dc_efficiency must be in (0, 1], got {self.rf_to_dc_efficiency}")
         if not 0.0 <= self.min_elevation <= 90.0:
@@ -60,10 +60,10 @@ class ChargingModel:
     payload_bits: float = 400.0
 
     def __post_init__(self):
-        if self.energy_per_bit <= 0.0:
-            raise ValueError("energy_per_bit must be > 0")
-        if self.payload_bits < 0.0:
-            raise ValueError("payload_bits must be >= 0")
+        if not 0.0 < self.energy_per_bit < math.inf:
+            raise ValueError(f"energy_per_bit must be > 0 and finite, got {self.energy_per_bit}")
+        if not 0.0 <= self.payload_bits < math.inf:
+            raise ValueError(f"payload_bits must be >= 0 and finite, got {self.payload_bits}")
 
 
 def slant_distance(altitude: float, elevation_deg: float, earth_radius: float = EARTH_RADIUS) -> float:
@@ -118,8 +118,8 @@ def pass_average_power(p: SatWetParams) -> float:
 
 def charging_time(model: ChargingModel, harvested_power: float) -> float:
     """Seconds of harvesting needed to bank the payload's transmit energy."""
-    if harvested_power <= 0.0:
-        raise ValueError(f"harvested_power must be > 0, got {harvested_power}")
+    if not 0.0 < harvested_power < math.inf:
+        raise ValueError(f"harvested_power must be > 0 and finite, got {harvested_power}")
     if model.payload_bits == 0.0:
         return 0.0
     return model.energy_per_bit * model.payload_bits / harvested_power

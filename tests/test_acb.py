@@ -23,6 +23,13 @@ def test_class_validation():
         AccessClass("x", 1, -1.0, 0.5)
     with pytest.raises(ValueError):
         AccessClass("x", 1, 1.0, 1.5)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="acdc_category"):
+            AccessClass("x", value, 1.0, 0.5)
+        with pytest.raises(ValueError, match="arrival_rate"):
+            AccessClass("x", 1, value, 0.5)
+        with pytest.raises(ValueError, match="admit_prob"):
+            AccessClass("x", 1, 1.0, value)
 
 
 def test_profile_needs_classes():
@@ -58,8 +65,9 @@ def test_admitted_load_full_barring():
 def test_admitted_load_overload_ratio():
     metrics = admitted_load(profile([(1, 10.0, 1.0)]), capacity=4.0)
     assert metrics.overload_ratio == pytest.approx(2.5)
-    with pytest.raises(ValueError):
-        admitted_load(profile([(1, 1.0, 1.0)]), capacity=0.0)
+    for capacity in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="capacity"):
+            admitted_load(profile([(1, 1.0, 1.0)]), capacity=capacity)
 
 
 def test_admitted_load_linear_in_admit_prob():
@@ -144,10 +152,11 @@ def test_simulate_admission_monotone_in_category():
 
 def test_simulate_validates_inputs():
     p = profile([(1, 1.0, 1.0)])
-    with pytest.raises(ValueError):
-        simulate_access(p, 0.0, 10.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        simulate_access(p, 1.0, 0.0, np.random.default_rng(0))
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="capacity"):
+            simulate_access(p, bad, 10.0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="horizon"):
+            simulate_access(p, 1.0, bad, np.random.default_rng(0))
 
 
 def test_simulate_overload_ratio():

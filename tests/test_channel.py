@@ -7,6 +7,7 @@ from conftest import disaster_station, snapshot_from_stations
 from disastersim.channel import (
     SPEED_OF_LIGHT,
     ChannelParams,
+    _clamped_path_gain,
     db_to_linear,
     dbm_to_watts,
     friis_gain,
@@ -64,6 +65,18 @@ def test_path_gain_rejects_nonpositive_distance():
         path_gain(0.0, ChannelParams())
     with pytest.raises(ValueError):
         path_gain(np.array([1.0, -2.0]), ChannelParams())
+
+
+@pytest.mark.parametrize("alpha", [3.5, 4.0])
+def test_clamped_path_gain_is_path_gain_without_the_check(alpha):
+    # the engine's gain: path_gain's bits on every valid distance, and at a
+    # station's distance to itself (0) the gain at min_distance, not an error
+    p = ChannelParams(path_loss_exponent=alpha, min_distance=2.0)
+    d = np.concatenate([[2.0], np.random.default_rng(1).uniform(2.0, 30000.0, 2000)])
+    assert _clamped_path_gain(d, p).tolist() == path_gain(d, p).tolist()
+    assert [float(_clamped_path_gain(x, p)) for x in d.tolist()] == path_gain(d, p).tolist()
+    assert _clamped_path_gain(0.0, p) == path_gain(2.0, p)
+    assert _clamped_path_gain(np.zeros(3), p).tolist() == [path_gain(2.0, p)] * 3
 
 
 def test_path_gain_strictly_decreasing():
@@ -154,3 +167,8 @@ def test_friis_domain_errors():
         friis_gain(0.0, 868e6)
     with pytest.raises(ValueError):
         friis_gain(100.0, 0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="distance"):
+            friis_gain(value, 868e6)
+        with pytest.raises(ValueError, match="frequency"):
+            friis_gain(100.0, value)

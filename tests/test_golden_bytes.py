@@ -23,11 +23,11 @@ FIG5 = SCENARIOS / "paper_fig5.yaml"
 GOLDEN = {
     ("silencing-run", 200, 1): (
         "6c5c0964a86c4157082ef70c3e7fb715a5fb77852d658aa64c0ac1c59370f4ad",
-        "2393b97e4f23927d91e20a31b379a2ae4211341f1695758bb8ab5237c6bf725b",
+        "f129ac95c937b78e8cd5a3898f6a859ee32278200301bfc0e67a4dd069fbaa73",
     ),
     ("silencing-sweep", 60, 2): (
         "0698d88e66e7f51fb4528126b95f3d4630622ec8ea770754e862595b07b8e762",
-        "7682c015f80971faf84c2840c37987f5954a0904ffcedac9509794a88848618a",
+        "6ecd86f62cff43bddce85fe33dab9e5f22cda8fe05196f5678bed61f5ca1769e",
     ),
 }
 
@@ -104,11 +104,11 @@ silencing:
 AERIAL_GOLDEN = {
     ("silencing-run", 120, 2): (
         "c2f603863f41dba0afad738a502b9a501ee3c33945fad28afec423d9ef01b7c6",
-        "260ca7a956daf5c4fefb13674cf9f8a1e3ec20f072dd50a35c560eec82d85c86",
+        "95dcb575af22ba38f845da779098be6fcd32cf3370090ad9ab83d85291dbaa24",
     ),
     ("silencing-sweep", 40, 1): (
         "a08ce6864b34bc8d93291cb8c97f88ddacbdf3a2490180bac18594b974c0b340",
-        "e3696538d69431bed55670fc02db67937db592d8e4c208ea5d9485d8f10f24c3",
+        "f2e5d609b85b80c7789e4095f4764bc54a8860374483bdc88c8b18e021e052ca",
     ),
 }
 
@@ -138,19 +138,19 @@ satwet:
 SCENARIO_GOLDEN = {
     ("satwet-curve", "paper_fig4.yaml", ()): (
         "90e767555265a57af4b5316c3423d13161dfef1ef9371b643072272790bc71be",
-        "b736d689810b66f25c69c9ebe5c7a32c194dfc110994705a9241d072693f89a8",
+        "cc06aa722f410820982136c4be69475f24e79f1d12fb0ad9428aa116c2341f42",
     ),
     ("acb-run", "acb_example.yaml", ()): (
         "e4b26dd40fcc16acda8e75f63b02f26d06f599f2f040014e12180b5cc50b9f53",
-        "4b759b3bb75a67b3543b56e3eeaf1a5f8ca8fe1a8c968febc71b67dc378c8f2c",
+        "7db1b8bce9829111ab432c86bc49e5ef96a74e84f863691bf786e592dbcf7d4c",
     ),
     ("silencing-run", "defaults", ("--trials", "100")): (
         "bb78adfcb4ec9eb9f0d073487dbc5c44dc7fbc848cd54ffb7aa4941a870e0ce9",
-        "eae42bdb841445afb43132d74ff8f33eab1a08ff2d1d10e6c4289a2ce47ee1d8",
+        "d9da35adbc50bd3e9a2fd84bf19a0282dbb9ac6f2150976715bce7288671dc66",
     ),
     ("satwet-curve", "defaults", ()): (
         "d5dde81e53f193ec9b5c35857b7fcd0162f6ab9de265f20ee40c24e851d5d62d",
-        "82c2909fd9facb2a9cadd496f4f7dedc2cae36723d922647750aea4a582fae56",
+        "27face1bd35b22a1396ca331715901eb58b5c66465c7376673ba38710f8e45bf",
     ),
 }
 

@@ -123,11 +123,18 @@ def test_grid_equals_reference_without_outer_stations():
 
 def test_grid_equals_reference_with_silent_stations():
     # Zero station power: every downlink signal is 0, so with no noise every
-    # silencing-area user is a coverage hole, and every uplink succeeds.
-    cfg = base_cfg(bs_tx_power=0.0, n_trials=20)
-    expected = assert_grid_matches(cfg, (6000.0,), POLICIES, workers=1)
-    assert np.all(expected[:, :, 0] == 20)
-    assert np.all(expected[:, :, 3] == 20)
+    # silencing-area user is a coverage hole. Every uplink succeeds while the
+    # device transmits; a silent device makes 0 / (0 + 0), and that trial is
+    # a hole on the uplink too.
+    silent_device = ScenarioConfig(device_tx_power=0.0, bs_tx_power=0.0, n_trials=200, bs_density=1e-6,
+                                   master_seed=1)
+    for cfg in (base_cfg(bs_tx_power=0.0, n_trials=20), silent_device):
+        expected = assert_grid_matches(cfg, (6000.0,), POLICIES, workers=1)
+        n = cfg.n_trials
+        up = n if cfg.device_tx_power > 0.0 else 0
+        assert np.all(expected[:, :, 0] == up)
+        assert np.all(expected[:, :, 1] == n - up)
+        assert np.all(expected[:, :, 3] == n)
 
 
 DENSE = tuple(SilencingPolicy.partial(rho) for rho in np.linspace(0.0, 1.0, 11)) + (
@@ -239,7 +246,7 @@ def test_grid_equals_reference_when_chunks_split_blocks():
     expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
     regions = (Annulus(cfg.ring_outer_radius, 9000.0),)
     edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
-    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, True, regions, a, b) for a, b in zip(edges, edges[1:])]
+    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, regions, a, b) for a, b in zip(edges, edges[1:])]
     assert np.array_equal(sum(parts), expected)
 
 
@@ -299,7 +306,7 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
     # entry for entry, the block's stations are the replayed ones and its
     # fading is the kernels' uplink and downlink draws; build_network is a
     # one-trial block, so it is checked against the replay as well
-    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), trials, True, True)
+    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), trials, True)
     up_g, up_h = block.up_fading
     user_u, down_g, down_h = block.down_draws
     assert block.n_trials == len(trials)
@@ -308,10 +315,7 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
         lo, hi = block.bounds[i], block.bounds[i + 1]
         assert hi - lo == len(want["xy"])
         assert np.array_equal(block.x[lo:hi], want["xy"][:, 0]) and np.array_equal(block.y[lo:hi], want["xy"][:, 1])
-        if cfg.aerial is None:
-            assert block.alt is None
-        else:
-            assert np.array_equal(block.alt[lo:hi], want["altitude"])
+        assert np.array_equal(block.alt[lo:hi], want["altitude"])  # all 0.0 without an aerial tier
         assert np.array_equal(block.tx[lo:hi], want["tx"])
         assert np.array_equal(block.alive[lo:hi], want["alive"])
         assert np.array_equal(block.exterior[lo:hi], want["exterior"])

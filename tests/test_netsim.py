@@ -603,6 +603,17 @@ def test_downlink_zero_signal_without_interference_or_noise_is_undefined():
     assert math.isnan(sinr)
 
 
+def test_uplink_zero_signal_without_interference_or_noise_is_undefined():
+    # the downlink's rule: a silent device and no other transmitter is a hole
+    cfg = unit_cfg(device_tx_power=0.0)
+    net = snapshot_from_stations([disaster_station(100.0, 0.0), disaster_station(300.0, 0.0, tx_power=0.0)])
+    sinr, serving = uplink_sinr(net, cfg, 1.0, np.ones(2))
+    assert serving == -1
+    assert math.isnan(sinr)
+    res = uplink_trial(net, cfg, np.random.default_rng(1))
+    assert (res.success, res.coverage_hole) == (False, True)
+
+
 def test_downlink_coverage_estimate_runs():
     cfg = unit_cfg(n_trials=200, bs_density=1e-6, silencing_radius=9000.0)
     est = estimate_silencing_area_coverage(cfg, SilencingPolicy.none())

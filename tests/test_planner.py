@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,11 @@ def test_weights_validation():
         TradeoffWeights(-1.0, 1.0)
     with pytest.raises(ValueError):
         TradeoffWeights(0.0, 0.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TradeoffWeights(value, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            TradeoffWeights(1.0, value)
 
 
 def test_utility_projections():

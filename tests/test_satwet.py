@@ -146,8 +146,9 @@ def test_charging_time_zero_payload():
 
 
 def test_charging_time_rejects_nonpositive_power():
-    with pytest.raises(ValueError):
-        charging_time(ChargingModel(45e-12, 400.0), 0.0)
+    for power in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="harvested_power"):
+            charging_time(ChargingModel(45e-12, 400.0), power)
 
 
 def test_charging_model_validation():
@@ -155,6 +156,11 @@ def test_charging_model_validation():
         ChargingModel(0.0, 100.0)
     with pytest.raises(ValueError):
         ChargingModel(1e-12, -1.0)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="energy_per_bit"):
+            ChargingModel(energy_per_bit=value)
+        with pytest.raises(ValueError, match="payload_bits"):
+            ChargingModel(payload_bits=value)
 
 
 def test_charge_curve_single_cell_matches_direct_call():
@@ -206,3 +212,8 @@ def test_params_validation():
         SatWetParams(altitude=0.0)
     with pytest.raises(ValueError):
         SatWetParams(min_elevation=95.0)
+    for name in ("frequency", "sat_tx_power", "sat_tx_gain", "ground_rx_gain", "altitude", "earth_radius",
+                 "rf_to_dc_efficiency", "min_elevation"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                SatWetParams(**{name: value})
