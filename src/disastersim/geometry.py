@@ -96,8 +96,8 @@ def _draw_uniform(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
 def _draw_ppp(region: Annulus, density: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Radius and angle fractions of a homogeneous PPP on the region; draw
     order is (count, radii, angles), and density 0 draws nothing."""
-    if density < 0:
-        raise ValueError(f"density must be >= 0, got {density}")
+    if not 0 <= density < math.inf:
+        raise ValueError(f"density must be >= 0 and finite, got {density}")
     if density == 0.0:
         return _no_draws()
     count = rng.poisson(density * region.area)
@@ -113,8 +113,8 @@ _ARRIVAL_BLOCK = 256
 def _draw_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Ascending cumulative arrival counts and angle fractions of a
     homogeneous PPP on the region; _radial_radius places them."""
-    if density < 0:
-        raise ValueError(f"density must be >= 0, got {density}")
+    if not 0 <= density < math.inf:
+        raise ValueError(f"density must be >= 0 and finite, got {density}")
     if density == 0.0:
         return _no_draws()
     target = density * region.area

@@ -39,10 +39,17 @@ interferers of one group in station order:
 and I_fix = I_inner + I_outer. A policy with power factor f then sees
 I_fix + f * I_sil. A sequential sum does not change when a +0.0 term is
 added, so a sum over zero-padded rows or over terms zeroed by a mask has
-the bits of the sum over the kept terms alone. For rho > 0 the serving
-station does not depend on rho, so two sums per (trial, radius) score every
-rho; the downlink's rho = 0 and spectrum_split servers differ, and each
-gets its own pair, in which the stations that do not transmit add 0.0.
+the bits of the sum over the kept terms alone.
+
+One function, _tally, scores both links in the engine: it tests signal /
+(I_fix + f * I_sil + N) >= tau at every f from one pair of sums per trial,
+with the kernels' rule for x / 0 and 0 / 0 (_sinr). A policy enters as its
+power factors (other zones, silencing zone) on the link's band
+(_band_factors); spectrum_split is (1, 0) on the uplink and (0, 1) on the
+downlink. The serving station depends only on which stations transmit, so
+the uplink has one per trial, and the downlink one per trial, radius and
+pattern in use: every station (rho > 0), all but the silencing zone
+(rho = 0), or that zone alone (spectrum_split).
 
 Sampling is split into draws and placement (see geometry). _sample_trial
 makes every generator call of one trial's realization and places nothing;
@@ -503,6 +510,23 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     return float(i_inner + i_outer + f * i_sil)
 
 
+def _sinr(signal: float, denom: float, serving: int) -> tuple[float, int]:
+    """(signal / denom, serving), the one tail of both SINR kernels: x / 0
+    is inf, and a trial whose signal, interference and noise are all 0 has
+    no SINR and no server, (nan, -1)."""
+    if denom == 0.0:
+        return (math.nan, -1) if signal == 0.0 else (math.inf, serving)
+    return signal / denom, serving
+
+
+def _trial_result(cfg: ScenarioConfig, sinr: float, serving: int) -> TrialResult:
+    """A kernel's (sinr, serving) as one trial's outcome, the one tail of
+    uplink_trial and downlink_trial."""
+    if serving < 0:
+        return TrialResult(False, True, math.nan)
+    return TrialResult(bool(sinr >= cfg.channel.sinr_threshold), False, float(sinr))
+
+
 def uplink_sinr(
     net: NetworkSnapshot,
     cfg: ScenarioConfig,
@@ -542,12 +566,7 @@ def uplink_sinr(
     interference = _grouped_interference(
         net, ch, interferers, bs_fading, net.xy[serving], float(net.altitude[serving])
     )
-    denom = interference + ch.noise_power
-    if denom == 0.0:
-        if signal == 0.0:
-            return math.nan, -1
-        return math.inf, serving
-    return signal / denom, serving
+    return _sinr(signal, interference + ch.noise_power, serving)
 
 
 def uplink_trial(net: NetworkSnapshot, cfg: ScenarioConfig, rng: np.random.Generator) -> TrialResult:
@@ -560,10 +579,7 @@ def uplink_trial(net: NetworkSnapshot, cfg: ScenarioConfig, rng: np.random.Gener
     """
     g = rng.exponential()
     h = rng.exponential(size=net.n_bs)
-    sinr, serving = uplink_sinr(net, cfg, g, h)
-    if serving < 0:
-        return TrialResult(False, True, math.nan)
-    return TrialResult(bool(sinr >= cfg.channel.sinr_threshold), False, float(sinr))
+    return _trial_result(cfg, *uplink_sinr(net, cfg, g, h))
 
 
 def downlink_sinr(
@@ -579,7 +595,8 @@ def downlink_sinr(
     Serving station is the nearest transmitting station on that band (any
     zone); its power_factor scales the signal exactly as it scales what it
     leaks to everyone else. Interference comes from the other co-band
-    transmitters. Returns (sinr, serving index); (nan, -1) for no server.
+    transmitters. Returns (sinr, serving index); (nan, -1) when no station
+    can serve, or when signal, interference and noise are all 0.
     """
     ch = cfg.channel
     transmitting = net.alive & (net.power_factor > 0.0) & (net.band == user_band)
@@ -595,12 +612,7 @@ def downlink_sinr(
     others = transmitting
     others[serving] = False
     interference = _grouped_interference(net, ch, others, bs_fading, user_xy, 0.0)
-    denom = interference + ch.noise_power
-    if denom == 0.0:
-        if signal == 0.0:
-            return math.nan, -1
-        return math.inf, serving
-    return signal / denom, serving
+    return _sinr(signal, interference + ch.noise_power, serving)
 
 
 def downlink_trial(
@@ -620,10 +632,7 @@ def downlink_trial(
     g = rng.exponential()
     h = rng.exponential(size=net.n_bs)
     band = Band.ALTERNATE_BAND if policy.kind == "spectrum_split" else Band.DISASTER_BAND
-    sinr, serving = downlink_sinr(net, cfg, user, band, g, h)
-    if serving < 0:
-        return TrialResult(False, True, math.nan)
-    return TrialResult(bool(sinr >= cfg.channel.sinr_threshold), False, float(sinr))
+    return _trial_result(cfg, *downlink_sinr(net, cfg, user, band, g, h))
 
 
 # Trials per block of the silencing engine. A block's stations, about 500
@@ -830,14 +839,46 @@ def _trial_sums(block: _Block, terms: np.ndarray, on: np.ndarray, inside: np.nda
     return i_inner + i_outer, _prefix_sums(exterior)[trials, inside]
 
 
+def _band_factors(policy: SilencingPolicy, downlink: bool) -> tuple[float, float]:
+    """A policy's power factors (other zones, silencing zone) on the band a
+    link uses. spectrum_split moves the silencing zone, at full power, to
+    the alternate band, which serves the downlink and which no other
+    station uses; every other policy scales the silencing zone by its
+    silencing_power_factor on the disaster band."""
+    if policy.kind == "spectrum_split":
+        return (0.0, 1.0) if downlink else (1.0, 0.0)
+    return 1.0, policy.silencing_power_factor
+
+
+def _tally(ch: ChannelParams, block: _Block, serving: np.ndarray, signal: np.ndarray, terms: np.ndarray,
+           on: np.ndarray, inside: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """One link's (successes, holes) at every radius of inside and every
+    silencing-zone power factor f, an (n_radii, n_factors, 2) array.
+
+    serving[t] is trial t's serving station or -1, and signal broadcasts
+    against the (served trial, radius, factor) axes. on marks the
+    stations that transmit on the link's band, and the servers are cleared
+    from it. A trial succeeds when signal / (I_fix + f * I_sil + N) >= tau:
+    x / 0 is inf, which passes, and 0 / 0 is nan, which does not. That
+    trial is a hole, as is one without a server (see _sinr).
+    """
+    served = serving >= 0
+    on[serving[served]] = False
+    i_fix, i_sil = (sums[served][:, :, None] for sums in _trial_sums(block, terms, on, inside))
+    denom = i_fix + factors * i_sil + ch.noise_power
+    successes = (signal / denom >= ch.sinr_threshold).sum(axis=0)
+    holes = block.n_trials - np.count_nonzero(served) + ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
+    return np.array((successes, holes)).transpose(1, 2, 0)  # np.stack(..., axis=-1), at a third of the cost
+
+
 def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factors: np.ndarray, counts: np.ndarray):
     """Add a block's uplink (successes, holes) to counts[radius, policy].
 
     inside[t, k] is trial t's silencing-zone station count at radius k, and
-    factors[j] policy j's power factor on the disaster band inside the
-    silencing zone. The serving station and the received terms depend on
-    neither radius nor policy, so they are found once per trial, and one
-    _trial_sums call gives I_fix and I_sil at every radius.
+    factors[j] policy j's silencing-zone power factor (_band_factors). The
+    serving station and the received terms depend on neither radius nor
+    policy, so they are found once per trial, and one _tally scores every
+    radius and policy.
     """
     ch = cfg.channel
     g, h = block.up_fading
@@ -847,90 +888,73 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     d_device = np.sqrt(planar_sq + block.alt[candidates] ** 2)
     serving = _nearest(block.bounds, candidates, d_device)
     served = serving >= 0
-    counts[:, :, 1] += block.n_trials - np.count_nonzero(served)
-    if not served.any():
+    if not served.any():  # every trial is a hole, and a block may have no station to index
+        counts[:, :, 1] += block.n_trials
         return
-    s = serving[served]
-    d0 = d_device[np.searchsorted(candidates, s)]
+    d0 = d_device[np.searchsorted(candidates, serving[served])]
     signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
     src = np.maximum(serving, 0)  # a trial without a server is never scored
     gains = _clamped_path_gain(_distances(block, block.x[src], block.y[src], block.alt[src]), ch)
-    on = block.alive.copy()
-    on[s] = False
-    i_fix, i_sil = (sums[served][:, :, None] for sums in _trial_sums(block, block.tx * h * gains, on, inside))
-    denom = i_fix + factors * i_sil + ch.noise_power
-    # x / 0 is inf, which passes, and 0 / 0 is nan, which does not: that
-    # trial has no SINR and is a hole, as in uplink_sinr
-    counts[:, :, 0] += (signal / denom >= ch.sinr_threshold).sum(axis=0)
-    counts[:, :, 1] += ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
+    counts += _tally(ch, block, serving, signal, block.tx * h * gains, block.alive.copy(), inside, factors)
 
 
-def _count_downlink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, policies, region: Annulus,
+def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.ndarray, factors: np.ndarray,
                     counts: np.ndarray):
-    """Add a block's silencing-area (successes, holes) at one radius to counts[policy].
+    """Add a block's silencing-area (successes, holes) at radius r_s to counts[policy].
 
-    inside[t, 0] is trial t's silencing-zone station count at the radius.
-    The user and the fading depend on the radius only, so distances and
-    gains to every station are found once per trial. The serving station
-    depends only on which stations transmit on the user's band: all of
-    them (rho > 0: I_fix and I_sil score every rho), all but the silenced
-    ones (rho = 0), or (spectrum_split) only the retuned ones. The stations
-    that do not transmit are zeroed, so their group sums to 0.0.
+    inside[t, 0] is trial t's silencing-zone station count at r_s, and
+    factors[j] policy j's (other zones, silencing zone) power factors
+    (_band_factors). The user and the fading depend on the radius only, so
+    distances and gains to every station are found once per trial. The
+    serving station depends only on which stations transmit on the user's
+    band, so the policies that agree on that share one server and one
+    _tally; the stations that do not transmit add 0.0 to their sums.
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
-    user = geometry._place(region, user_u[0], user_u[1])
+    user = geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1])
     d = _distances(block, user[:, 0], user[:, 1], np.zeros(block.n_trials))
     gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
     sil = block.silencing_zone(inside[:, 0])
-    bands = {}
-    for j, policy in enumerate(policies):
-        if policy.kind == "spectrum_split":
-            band = "retuned"
-        else:
-            band = "all" if policy.silencing_power_factor > 0.0 else "unsilenced"
-        bands.setdefault(band, []).append(j)
-    scored = np.zeros((len(policies), 2), dtype=np.int64)
-    for band, members in bands.items():
-        if band == "all":
-            on = block.alive.copy()
-        else:
-            on = block.alive & (sil if band == "retuned" else ~sil)
+    groups = {}
+    for j, (fixed, silenced) in enumerate(factors):
+        groups.setdefault((fixed > 0.0, silenced > 0.0), []).append(j)
+    for (fixed_on, silenced_on), members in groups.items():
+        # alive & where(sil, silenced_on, fixed_on); where with scalars is slower
+        on = block.alive & sil if not fixed_on else block.alive.copy()
+        if not silenced_on:
+            on &= ~sil
         candidates = np.flatnonzero(on)
         serving = _nearest(block.bounds, candidates, d[candidates])
         served = serving >= 0
-        s = serving[served]
-        on[s] = False
-        i_fix, i_sil = (sums[served] for sums in _trial_sums(block, full, on, inside))
-        factors = np.array([policies[j].silencing_power_factor for j in members])
-        signal = np.where(sil[s][:, None], factors, 1.0) * block.tx[s][:, None] * g[served][:, None] * gains[s][:, None]
-        denom = i_fix + factors * i_sil + ch.noise_power
-        scored[members, 0] = (signal / denom >= ch.sinr_threshold).sum(axis=0)  # see _count_uplink
-        scored[members, 1] = block.n_trials - s.size + ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
-    counts += scored
+        s, f = serving[served], np.array([factors[j][1] for j in members])
+        signal = (np.where(sil[s][:, None, None], f, 1.0) * block.tx[s][:, None, None] * g[served][:, None, None]
+                  * gains[s][:, None, None])
+        counts[members] += _tally(ch, block, serving, signal, full, on, inside, f)[0]
 
 
-def _count_chunk(cfg: ScenarioConfig, radii, policies, regions, start: int, stop: int) -> np.ndarray:
+def _count_chunk(cfg: ScenarioConfig, radii, policies, downlink: bool, start: int, stop: int) -> np.ndarray:
     """Integer counts [radius, policy, (uplink successes, uplink holes,
-    downlink successes, downlink holes)] over trials [start, stop).
+    downlink successes, downlink holes)] over trials [start, stop); the
+    downlink's stay 0 unless downlink.
 
     Trials are sampled and scored in blocks of _BLOCK; only the zone split
     depends on the radius, because exterior stations cover the whole (ring,
-    sim_radius) annulus. regions holds the silencing annulus per radius, or
-    is None to skip the downlink.
+    sim_radius) annulus.
     """
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-    up_factors = np.array([0.0 if p.kind == "spectrum_split" else p.silencing_power_factor for p in policies])
+    up_factors = np.array([_band_factors(p, downlink=False)[1] for p in policies])
+    down_factors = [_band_factors(p, downlink=True) for p in policies]
     streams = _StreamPool(cfg.master_seed)
-    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_count_uplink)
+    with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_tally)
         for first in range(start, stop, _BLOCK):
             trials = range(first, min(first + _BLOCK, stop))
-            block = _sample_block(cfg, streams, trials, regions is not None)
+            block = _sample_block(cfg, streams, trials, downlink)
             inside = block.silencing_counts(radii)
             _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
-            for k, region in enumerate(regions or ()):
-                _count_downlink(cfg, block, inside[:, k:k + 1], policies, region, counts[k, :, 2:])
+            for k, r_s in enumerate(radii if downlink else ()):
+                _count_downlink(cfg, block, r_s, inside[:, k:k + 1], down_factors, counts[k, :, 2:])
     return counts
 
 
@@ -954,16 +978,17 @@ def estimate_grid(
     for the uplink and the downlink alike.
     """
     radii, policies = tuple(radii), tuple(policies)
+    if not radii or not policies:
+        raise ValueError(f"{'policies' if radii else 'radii'} must not be empty")
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
-    regions = tuple(Annulus(cfg.ring_outer_radius, r_s) for r_s in radii) if downlink else None
     n = cfg.n_trials
     # Chunks of whole blocks, about four per worker. Per-trial seeding makes
     # any partition valid; summing integer counts in ascending chunk order
     # keeps the result identical for any worker count.
     chunk = _BLOCK * math.ceil(n / (max(workers, 1) * 4 * _BLOCK))
     if workers <= 1 or chunk >= n:
-        counts = _count_chunk(cfg, radii, policies, regions, 0, n)
+        counts = _count_chunk(cfg, radii, policies, downlink, 0, n)
     else:
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
@@ -971,7 +996,7 @@ def estimate_grid(
         # a pool forks all its workers at the first submit, so none beyond the chunks
         with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
             for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
-                                 repeat(regions), starts, stops):
+                                 repeat(downlink), starts, stops):
                 counts += part
     return [
         [

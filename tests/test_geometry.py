@@ -51,8 +51,12 @@ def test_sample_ppp_zero_density_empty():
 
 
 def test_sample_ppp_negative_density_rejected():
-    with pytest.raises(ValueError):
-        sample_ppp(disk(1.0), -1e-6, np.random.default_rng(0))
+    # NaN passes a bare `density < 0` check, and an infinite density would
+    # never finish drawing the radial process
+    for sampler in (sample_ppp, sample_ppp_radial):
+        for density in (-1e-6, math.nan, math.inf):
+            with pytest.raises(ValueError, match="density must be"):
+                sampler(Annulus(1.0, 100.0), density, np.random.default_rng(0))
 
 
 def test_sample_ppp_count_moments():

@@ -224,6 +224,18 @@ def test_empty_annulus_rejected_before_sampling(monkeypatch):
     assert err.value.field == "silencing_radius"
 
 
+def test_empty_grid_rejected_before_sampling(monkeypatch):
+    def fail(*args):
+        raise AssertionError("sampled a trial for an empty grid")
+
+    monkeypatch.setattr(netsim, "_sample_trial", fail)
+    cfg = base_cfg()
+    with pytest.raises(ValueError, match="radii must not be empty"):
+        estimate_grid(cfg, (), (SilencingPolicy.none(),))
+    with pytest.raises(ValueError, match="policies must not be empty"):
+        estimate_grid(cfg, (9000.0,), ())
+
+
 # ---------------------------------------------------------------------------
 # the block engine: block edges, chunking, ties and empty trials
 # ---------------------------------------------------------------------------
@@ -244,9 +256,8 @@ def test_grid_equals_reference_when_chunks_split_blocks():
     n = 8 * (netsim._BLOCK + 3)
     cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
     expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
-    regions = (Annulus(cfg.ring_outer_radius, 9000.0),)
     edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
-    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, regions, a, b) for a, b in zip(edges, edges[1:])]
+    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, True, a, b) for a, b in zip(edges, edges[1:])]
     assert np.array_equal(sum(parts), expected)
 
 
@@ -573,4 +584,7 @@ def test_property_uplink_policy_identities(case):
 def test_property_counts_independent_of_workers(case):
     cfg, radii = case
     policies = (SilencingPolicy.none(), SilencingPolicy.partial(0.5), SilencingPolicy.spectrum_split())
-    assert estimate_grid(cfg, radii, policies, workers=2) == estimate_grid(cfg, radii, policies, workers=1)
+    grid = estimate_grid(cfg, radii, policies, workers=1)
+    assert estimate_grid(cfg, radii, policies, workers=2) == grid
+    # skipping the downlink leaves every uplink count as it is
+    assert estimate_grid(cfg, radii, policies, downlink=False) == [[(up, None) for up, _ in row] for row in grid]
