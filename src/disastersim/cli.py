@@ -5,7 +5,10 @@ Exit codes: 0 success (and after --help), 2 input error (bad arguments,
 missing/unparsable scenario, schema violation), 3 I/O error writing
 outputs; main returns the code rather than raising SystemExit. Data files
 are a pure function of (scenario file contents, seed, version): no
-timestamps, paths, or worker counts ever reach an output byte.
+timestamps, paths, or worker counts ever reach an output byte. The manifest
+is three header lines (artifact, version, subcommand) and then every leaf
+of the loaded scenario document, keyed by its field path, with floats
+written exactly.
 
 Imports happen where they are used. At import, this module loads only the
 scenario loader and the dependency-free errors module. The model behind
@@ -29,7 +32,7 @@ import yaml
 
 from . import __version__
 from .errors import ScenarioError
-from .scenario import _ACB_KEYS, _CHARGING_KEYS, _SATWET_KEYS, _SILENCING_KEYS, load_scenario
+from .scenario import load_scenario
 
 if TYPE_CHECKING:
     from .scenario import ScenarioDocument
@@ -80,58 +83,40 @@ def manifest_path(output_path: str | Path) -> Path:
 
 
 def write_manifest(output_path: str | Path, entries: dict):
-    """Plain-text key: value manifest next to the data file."""
-    lines = [f"{key}: {format_value(value)}" for key, value in entries.items()]
+    """Plain-text key: value manifest next to the data file, values verbatim."""
+    lines = [f"{key}: {value}" for key, value in entries.items()]
     manifest_path(output_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _model_entries(model, keys: dict) -> dict:
-    """Each scenario key of a loader table with the value the model holds for its field."""
-    return {key: getattr(model, field) for key, field in keys.items()}
+def _add_leaves(entries: dict, key: str, node):
+    """Every leaf under `node` into `entries`, keyed by its field path from `key`.
+
+    Dataclass fields are visited in declaration order and tuple items by
+    index. None is written `none` and a bool `true`/`false`; any other
+    leaf, an int, float or string, as its str(), which for a float is its
+    shortest exact form.
+    """
+    fields = getattr(node, "__dataclass_fields__", None)
+    if fields is not None:
+        prefix = f"{key}." if key else ""
+        for name in fields:
+            _add_leaves(entries, prefix + name, getattr(node, name))
+    elif isinstance(node, tuple):
+        for i, item in enumerate(node):
+            _add_leaves(entries, f"{key}[{i}]", item)
+    elif node is None:
+        entries[key] = "none"
+    elif isinstance(node, bool):
+        entries[key] = "true" if node else "false"
+    else:
+        entries[key] = str(node)
 
 
-def _config_entries(doc: ScenarioDocument, subcommand: str) -> dict:
-    entries = {
-        "artifact": "disastersim",
-        "version": __version__,
-        "subcommand": subcommand,
-        "scenario_name": doc.name,
-    }
-    if subcommand in ("silencing-run", "silencing-sweep"):
-        cfg = doc.silencing.config
-        entries.update(seed=cfg.master_seed, n_trials=cfg.n_trials, **_model_entries(cfg, _SILENCING_KEYS))
-        # the channel's manifest keys name the converted values, not its dB YAML keys
-        entries.update(
-            path_loss_exponent=cfg.channel.path_loss_exponent,
-            reference_gain_at_1m=cfg.channel.reference_gain_at_1m,
-            noise_power_w=cfg.channel.noise_power,
-            sinr_threshold=cfg.channel.sinr_threshold,
-            min_distance_m=cfg.channel.min_distance,
-            aerial="none" if cfg.aerial is None else (
-                f"density={cfg.aerial.density} altitude={cfg.aerial.altitude} tx_power={cfg.aerial.tx_power}"
-            ),
-        )
-    elif subcommand == "satwet-curve":
-        sw = doc.satwet
-        entries.update(_model_entries(sw.params, _SATWET_KEYS), mode=sw.mode)
-        entries.update(
-            _model_entries(sw.model, _CHARGING_KEYS),
-            heights_m=" ".join(format_value(h) for h in sw.heights),
-            payload_bits=" ".join(format_value(b) for b in sw.payloads),
-        )
-    elif subcommand == "acb-run":
-        spec = doc.acb
-        entries.update(seed=doc.seed, **_model_entries(spec, _ACB_KEYS))
-        entries["classes"] = " ".join(
-            f"{c.name}:cat{c.acdc_category}:rate{c.arrival_rate}:admit{c.admit_prob}"
-            for c in spec.profile.classes
-        )
+def _manifest_entries(doc: ScenarioDocument, subcommand: str) -> dict:
+    """The run's header lines, then every leaf of the whole loaded document."""
+    entries = {"artifact": "disastersim", "version": __version__, "subcommand": subcommand}
+    _add_leaves(entries, "", doc)
     return entries
-
-
-def _require_section(doc: ScenarioDocument, section: str):
-    if getattr(doc, section) is None:
-        raise ScenarioError(section, "scenario file has no such section but this subcommand needs it")
 
 
 # The model function each runner calls, and the module that defines it. The
@@ -159,7 +144,6 @@ _model = sys.modules[__name__]
 
 
 def _run_silencing_run(doc: ScenarioDocument, workers: int):
-    _require_section(doc, "silencing")
     spec = doc.silencing
     cfg = spec.config
     (points,) = _model.estimate_grid(cfg, (cfg.silencing_radius,), spec.policies, workers)
@@ -174,10 +158,7 @@ def _run_silencing_run(doc: ScenarioDocument, workers: int):
 
 
 def _run_silencing_sweep(doc: ScenarioDocument, workers: int):
-    _require_section(doc, "silencing")
     spec = doc.silencing
-    if spec.sweep is None:
-        raise ScenarioError("silencing.sweep", "scenario defines no sweep grid")
     table = _model.sweep(spec.config, spec.sweep.grid, spec.sweep.weights, workers=workers)
     rows = [
         [r.rho, r.silencing_radius, r.p_disaster, r.p_disaster_ci,
@@ -188,7 +169,6 @@ def _run_silencing_sweep(doc: ScenarioDocument, workers: int):
 
 
 def _run_satwet_curve(doc: ScenarioDocument, workers: int):
-    _require_section(doc, "satwet")
     spec = doc.satwet
     curve = _model.charge_curve(spec.heights, spec.payloads, spec.params, spec.model, mode=spec.mode)
     rows = [[r.height, r.payload_bits, r.mode, r.harvested_power, r.charging_time] for r in curve]
@@ -196,7 +176,6 @@ def _run_satwet_curve(doc: ScenarioDocument, workers: int):
 
 
 def _run_acb(doc: ScenarioDocument, workers: int):
-    _require_section(doc, "acb")
     spec = doc.acb
     mean = _model.admitted_load(spec.profile, capacity=spec.capacity)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(doc.seed,)))
@@ -210,25 +189,20 @@ def _run_acb(doc: ScenarioDocument, workers: int):
     return rows, ACB_HEADER
 
 
+# Each subcommand: the document section it needs (a dotted field path), its
+# runner, and its line in --help.
 _RUNNERS = {
-    "silencing-run": _run_silencing_run,
-    "silencing-sweep": _run_silencing_sweep,
-    "satwet-curve": _run_satwet_curve,
-    "acb-run": _run_acb,
+    "silencing-run": (
+        "silencing", _run_silencing_run,
+        "estimate disaster uplink success and silencing-area coverage per policy",
+    ),
+    "silencing-sweep": (
+        "silencing.sweep", _run_silencing_sweep,
+        "sweep suppression factor x silencing radius and score the trade-off",
+    ),
+    "satwet-curve": ("satwet", _run_satwet_curve, "satellite charging time over altitudes and payload sizes"),
+    "acb-run": ("acb", _run_acb, "access-class barring load under a capacity limit"),
 }
-
-
-# One parser serves every subcommand, since they all take the same five
-# flags; the subcommands' descriptions sit in the epilog. Building argparse
-# objects is not free: each parser looks up gettext catalogs on disk, and
-# each argument builds a help formatter, which reads the terminal size.
-_EPILOG = """\
-subcommands:
-  silencing-run    estimate disaster uplink success and silencing-area coverage per policy
-  silencing-sweep  sweep suppression factor x silencing radius and score the trade-off
-  satwet-curve     satellite charging time over altitudes and payload sizes
-  acb-run          access-class barring load under a capacity limit
-"""
 
 
 def positive_int(text: str) -> int:
@@ -238,11 +212,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+# One parser serves every subcommand, since they all take the same five
+# flags; the subcommands' descriptions sit in the epilog. Building argparse
+# objects is not free: each parser looks up gettext catalogs on disk, and
+# each argument builds a help formatter, which reads the terminal size.
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="disastersim",
         description="Post-disaster cellular resilience experiments",
-        epilog=_EPILOG,
+        epilog="subcommands:\n" + "".join(f"  {name:<16} {text}\n" for name, (_, _, text) in _RUNNERS.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("subcommand", choices=_RUNNERS, metavar="SUBCOMMAND", help="one of the subcommands below")
@@ -262,8 +240,20 @@ def main(argv=None) -> int:
         # every exit code instead of raising.
         return exc.code
 
+    # The manifest of x.manifest is x.manifest itself: it would overwrite the CSV.
+    if Path(args.out).suffix == ".manifest":
+        print(f"error: --out {args.out}: must not end in .manifest, the suffix of the manifest written next to it",
+              file=sys.stderr)
+        return EXIT_INPUT
+    section, runner, _ = _RUNNERS[args.subcommand]
+
     try:
         doc = load_scenario(args.scenario, seed_override=args.seed, trials_override=args.trials)
+        node = doc
+        for name in section.split("."):
+            node = getattr(node, name, None)
+        if node is None:
+            raise ScenarioError(section, "scenario file has no such section but this subcommand needs it")
     except FileNotFoundError:
         print(f"error: scenario file not found: {args.scenario}", file=sys.stderr)
         return EXIT_INPUT
@@ -282,15 +272,10 @@ def main(argv=None) -> int:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    try:
-        rows, header = _RUNNERS[args.subcommand](doc, args.workers)
-    except ScenarioError as exc:
-        print(f"error: invalid scenario field {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
+    rows, header = runner(doc, args.workers)
     try:
         emit_results(rows, header, args.out)
-        write_manifest(args.out, _config_entries(doc, args.subcommand))
+        write_manifest(args.out, _manifest_entries(doc, args.subcommand))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -154,6 +154,15 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _name(value, path: str) -> str:
+    """A nonempty string on one line: the manifest writes it verbatim after its key."""
+    if not isinstance(value, str) or not value:
+        raise ScenarioError(path, "must be a nonempty string")
+    if value.splitlines() != [value]:
+        raise ScenarioError(path, f"must not contain a line break, got {value!r}")
+    return value
+
+
 def _integer(node: dict, key: str, path: str, default=None):
     value = node.get(key)
     if value is None:
@@ -312,8 +321,7 @@ def _parse_acb(node) -> AcbSpec:
     for i, c in enumerate(classes_node):
         cpath = f"{path}.classes[{i}]"
         c = _mapping(c, cpath, {"name", "acdc_category", *_CLASS_KEYS})
-        if not isinstance(c.get("name"), str) or not c["name"]:
-            raise ScenarioError(f"{cpath}.name", "must be a nonempty string")
+        _name(c.get("name"), f"{cpath}.name")
         fields = _fields(c, _CLASS_KEYS, cpath, required=_CLASS_KEYS)
         classes.append(_build(AccessClass, cpath, c["name"], _integer(c, "acdc_category", cpath), **fields))
     flags = {} if monotone is None else {"monotone": monotone}
@@ -349,9 +357,7 @@ def load_scenario(
         raise ScenarioError("<document>", "scenario file is empty")
     raw = _mapping(raw, "<document>", {"name", "seed", "n_trials", "silencing", "satwet", "acb"})
 
-    name = raw.get("name", Path(path).stem)
-    if not isinstance(name, str) or not name:
-        raise ScenarioError("name", "must be a nonempty string")
+    name = _name(raw.get("name", Path(path).stem), "name")
     seed = _integer(raw, "seed", "<document>", default=0)
     n_trials = _integer(raw, "n_trials", "<document>", default=10000)
     if seed_override is not None:

@@ -5,12 +5,15 @@ import os
 import re
 import stat
 import textwrap
+from pathlib import Path
 
 import pytest
 import yaml
 
 from disastersim import cli, netsim, scenario
 from disastersim.cli import emit_results, format_value, main, manifest_path
+
+FIG5 = Path(__file__).resolve().parent.parent / "scenarios" / "paper_fig5.yaml"
 
 SILENCING_SCENARIO = """
 name: cli-test
@@ -184,21 +187,75 @@ def test_acb_run_deterministic(tmp_path):
 # manifest
 # ---------------------------------------------------------------------------
 
+def manifest_entries(out) -> dict:
+    """The manifest next to `out` as a dict, after checking it holds one key per line."""
+    lines = manifest_path(out).read_text(encoding="utf-8").splitlines()
+    entries = dict(line.split(": ", 1) for line in lines)
+    assert len(entries) == len(lines)
+    return entries
+
+
 def test_manifest_records_resolved_config(tmp_path):
     scenario = write(tmp_path, SILENCING_SCENARIO)
     out = tmp_path / "m.csv"
     assert run(["silencing-run", "--scenario", scenario, "--out", out, "--seed", 42, "--trials", 25]) == 0
     manifest = manifest_path(out).read_text()
-    entries = dict(line.split(": ", 1) for line in manifest.splitlines())
+    entries = manifest_entries(out)
+    assert list(entries)[:4] == ["artifact", "version", "subcommand", "name"]
     assert entries["subcommand"] == "silencing-run"
-    assert entries["scenario_name"] == "cli-test"
-    assert entries["seed"] == "42"
-    assert entries["n_trials"] == "25"
-    assert entries["bs_density_per_m2"] == "1e-06"
-    assert "version" in entries
+    assert entries["name"] == "cli-test"
+    assert entries["seed"] == entries["silencing.config.master_seed"] == "42"
+    assert entries["n_trials"] == entries["silencing.config.n_trials"] == "25"
+    assert entries["silencing.config.bs_density"] == "1e-06"
+    assert entries["silencing.config.channel.sinr_threshold"] == "0.1"
+    assert entries["silencing.config.aerial"] == "none"
+    assert entries["satwet"] == entries["acb"] == "none"
+    assert entries["version"] == cli.__version__
     # nothing time- or path-dependent may leak into the manifest
-    assert "workers" not in entries
+    assert not any("workers" in key for key in entries)
     assert str(tmp_path) not in manifest
+
+
+def fig5_sweep_with_weight(tmp_path, silencing_area: float):
+    doc = yaml.safe_load(FIG5.read_text(encoding="utf-8"))
+    doc["silencing"]["sweep"]["weights"]["silencing_area"] = silencing_area
+    scenario = tmp_path / f"fig5-{silencing_area}.yaml"
+    scenario.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    out = tmp_path / f"fig5-{silencing_area}.csv"
+    assert run(["silencing-sweep", "--scenario", scenario, "--out", out, "--trials", 4]) == 0
+    return out
+
+
+def test_manifest_tells_sweep_weights_apart(tmp_path):
+    # The weights change only the utility column; the manifest must show them.
+    out1, out3 = fig5_sweep_with_weight(tmp_path, 1.0), fig5_sweep_with_weight(tmp_path, 3.0)
+    assert manifest_path(out1).read_bytes() != manifest_path(out3).read_bytes()
+    entries = manifest_entries(out3)
+    assert entries["silencing.sweep.weights.w_disaster"] == "1.0"
+    assert entries["silencing.sweep.weights.w_silencing_area"] == "3.0"
+    assert [entries[f"silencing.policies[{i}].kind"] for i in range(4)] == [
+        "none", "partial", "complete", "spectrum_split",
+    ]
+    assert entries["silencing.policies[1].rho"] == "0.4"
+    assert [entries[f"silencing.sweep.grid.rho_values[{i}]"] for i in range(6)] == [
+        "0.0", "0.2", "0.4", "0.6", "0.8", "1.0",
+    ]
+    assert [entries[f"silencing.sweep.grid.silencing_radii[{i}]"] for i in range(3)] == [
+        "6000.0", "9000.0", "12000.0",
+    ]
+    assert "silencing.sweep.grid.rho_values[6]" not in entries
+
+
+def test_manifest_floats_are_exact(tmp_path):
+    # 0.08 and 0.0800001 agree to 6 significant digits; their manifests differ.
+    outs = []
+    for power in ("0.08", "0.0800001"):
+        text = SILENCING_SCENARIO.replace("bs_tx_power_w: 1.0", f"bs_tx_power_w: {power}")
+        out = tmp_path / f"p{power}.csv"
+        assert run(["silencing-run", "--scenario", write(tmp_path, text), "--out", out, "--trials", 5]) == 0
+        assert manifest_entries(out)["silencing.config.bs_tx_power"] == power
+        outs.append(out)
+    assert manifest_path(outs[0]).read_bytes() != manifest_path(outs[1]).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +316,18 @@ def test_out_of_range_seed_exits_2_naming_seed(tmp_path, capsys, seed):
     assert run(["acb-run", "--scenario", scenario, "--out", out, "--seed", seed]) == 2
     assert "invalid scenario field seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_out_with_the_manifest_suffix_exits_2_before_loading(tmp_path, capsys, monkeypatch):
+    # The manifest of --out x.manifest would be written over the CSV.
+    def fail(*args, **kwargs):
+        raise AssertionError("loaded the scenario")
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    scenario = write(tmp_path, SATWET_SCENARIO)
+    assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "curve.manifest"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / 'curve.manifest'}: ")
+    assert list(tmp_path.iterdir()) == [scenario]
 
 
 def test_subcommand_without_matching_section(tmp_path, capsys):
@@ -389,10 +458,13 @@ def test_each_main_call_builds_one_fresh_parser(tmp_path, monkeypatch):
             "silencing: {bs_density_per_m2: 1.0e-06, channel: {noise_dbm: 4000.0}}",
             "silencing.channel.noise_dbm",
         ),
+        # a line break in a name would forge manifest lines
+        ("acb-run", ACB_SCENARIO.replace("name: cli-acb", 'name: "x\\nversion: 9.9.9"'), "name"),
+        ("acb-run", ACB_SCENARIO.replace("{name: priority,", '{name: "a\\nseed: 1",'), "acb.classes[0].name"),
     ],
     ids=[
         "ring-edge-radius", "ring-edge-sweep-radius", "second-height", "second-payload", "acb-arrivals-overflow",
-        "sinr-threshold-db-overflow", "noise-dbm-overflow",
+        "sinr-threshold-db-overflow", "noise-dbm-overflow", "name-line-break", "class-name-line-break",
     ],
 )
 def test_inputs_a_run_would_reject_exit_2_before_any_work(tmp_path, capsys, monkeypatch, subcommand, text, field):

@@ -23,11 +23,11 @@ FIG5 = SCENARIOS / "paper_fig5.yaml"
 GOLDEN = {
     ("silencing-run", 200, 1): (
         "6c5c0964a86c4157082ef70c3e7fb715a5fb77852d658aa64c0ac1c59370f4ad",
-        "f129ac95c937b78e8cd5a3898f6a859ee32278200301bfc0e67a4dd069fbaa73",
+        "42eae1f4edf31e58d84af650e5ccbd8d62f72a1c989ff5decddffed8775ba2b1",
     ),
     ("silencing-sweep", 60, 2): (
         "0698d88e66e7f51fb4528126b95f3d4630622ec8ea770754e862595b07b8e762",
-        "6ecd86f62cff43bddce85fe33dab9e5f22cda8fe05196f5678bed61f5ca1769e",
+        "0b9ad715ffa9ffbf58e9865fb0a35b2a60bd0eb74c3d7edf752837b1daa6a3a5",
     ),
 }
 
@@ -104,11 +104,11 @@ silencing:
 AERIAL_GOLDEN = {
     ("silencing-run", 120, 2): (
         "c2f603863f41dba0afad738a502b9a501ee3c33945fad28afec423d9ef01b7c6",
-        "95dcb575af22ba38f845da779098be6fcd32cf3370090ad9ab83d85291dbaa24",
+        "e94f36dc6b609a0a94d6f95b415b7943d6faa7ddb6231cfc4fc7fc02458ede4e",
     ),
     ("silencing-sweep", 40, 1): (
         "a08ce6864b34bc8d93291cb8c97f88ddacbdf3a2490180bac18594b974c0b340",
-        "f2e5d609b85b80c7789e4095f4764bc54a8860374483bdc88c8b18e021e052ca",
+        "3976ce2721bf89f0966bdb8046d9d619605511bf1d464bc6ba316e32ae613ecd",
     ),
 }
 
@@ -138,19 +138,19 @@ satwet:
 SCENARIO_GOLDEN = {
     ("satwet-curve", "paper_fig4.yaml", ()): (
         "90e767555265a57af4b5316c3423d13161dfef1ef9371b643072272790bc71be",
-        "cc06aa722f410820982136c4be69475f24e79f1d12fb0ad9428aa116c2341f42",
+        "d5c2cf3fa78b05114a343aec20a95ab8e919305c2424e07b8f79554a754da5c9",
     ),
     ("acb-run", "acb_example.yaml", ()): (
         "e4b26dd40fcc16acda8e75f63b02f26d06f599f2f040014e12180b5cc50b9f53",
-        "7db1b8bce9829111ab432c86bc49e5ef96a74e84f863691bf786e592dbcf7d4c",
+        "54398b45cf8d942e87330e2346bbe4c9f60a4f3b503d946ee38f73298313fe87",
     ),
     ("silencing-run", "defaults", ("--trials", "100")): (
         "bb78adfcb4ec9eb9f0d073487dbc5c44dc7fbc848cd54ffb7aa4941a870e0ce9",
-        "d9da35adbc50bd3e9a2fd84bf19a0282dbb9ac6f2150976715bce7288671dc66",
+        "ce606ed7512937161659bca743ef22ce0e5510130fe9c390b6f22ea7adf72b07",
     ),
     ("satwet-curve", "defaults", ()): (
         "d5dde81e53f193ec9b5c35857b7fcd0162f6ab9de265f20ee40c24e851d5d62d",
-        "27face1bd35b22a1396ca331715901eb58b5c66465c7376673ba38710f8e45bf",
+        "60f158b6e53b2690adcd647fee2891d4f67d690b7ed87744fad9e3734164fd73",
     ),
 }
 

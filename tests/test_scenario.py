@@ -350,6 +350,21 @@ ONE_CLASS = "[{name: a, acdc_category: 1, arrival_rate_per_s: 1.0, admit_prob: 1
         ),
         pytest.param(f"acb: {{capacity_per_s: 10.0, monotone: 1, classes: {ONE_CLASS}}}", "acb.monotone", id="monotone-not-bool"),
         pytest.param(f"acb: {{capacity_per_s: 0.0, classes: {ONE_CLASS}}}", "acb.capacity_per_s", id="zero-capacity"),
+        # a line break in a name would forge manifest lines: each break str.splitlines() splits at
+        pytest.param('name: "x\\nversion: 9.9.9"', "name", id="name-line-feed"),
+        pytest.param('name: "x\\n"', "name", id="name-trailing-line-feed"),
+        pytest.param(
+            'acb: {capacity_per_s: 10.0, classes: [{name: "a\\rseed: 1", acdc_category: 1, '
+            "arrival_rate_per_s: 1.0, admit_prob: 1.0}]}",
+            "acb.classes[0].name",
+            id="class-name-carriage-return",
+        ),
+        pytest.param(
+            'acb: {capacity_per_s: 10.0, classes: [{name: "a\\Lseed: 1", acdc_category: 1, '
+            "arrival_rate_per_s: 1.0, admit_prob: 1.0}]}",
+            "acb.classes[0].name",
+            id="class-name-line-separator",
+        ),
     ],
 )
 def test_load_rejects_what_a_run_would_reject(tmp_path, text, field):
