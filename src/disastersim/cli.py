@@ -88,28 +88,28 @@ def write_manifest(output_path: str | Path, entries: dict):
     manifest_path(output_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _add_leaves(entries: dict, key: str, node):
-    """Every leaf under `node` into `entries`, keyed by its field path from `key`.
+def _add_leaves(entries: dict, prefix: str, node):
+    """Every leaf under the dataclass or tuple `node` into `entries`, keyed
+    by its field path from `prefix`.
 
     Dataclass fields are visited in declaration order and tuple items by
-    index. None is written `none` and a bool `true`/`false`; any other
-    leaf, an int, float or string, as its str(), which for a float is its
-    shortest exact form.
+    index. Each leaf is written in the loop that visits it: None as `none`,
+    a bool as `true`/`false`, and any other leaf, an int, float or string,
+    as its str(), which for a float is its shortest exact form. Only
+    dataclasses and tuples are recursed into.
     """
-    fields = getattr(node, "__dataclass_fields__", None)
-    if fields is not None:
-        prefix = f"{key}." if key else ""
-        for name in fields:
-            _add_leaves(entries, prefix + name, getattr(node, name))
-    elif isinstance(node, tuple):
-        for i, item in enumerate(node):
-            _add_leaves(entries, f"{key}[{i}]", item)
-    elif node is None:
-        entries[key] = "none"
-    elif isinstance(node, bool):
-        entries[key] = "true" if node else "false"
-    else:
-        entries[key] = str(node)
+    items = type(node) is tuple
+    dot = f"{prefix}." if prefix else ""
+    for name in range(len(node)) if items else node.__dataclass_fields__:
+        key, value = (f"{prefix}[{name}]", node[name]) if items else (dot + name, getattr(node, name))
+        if value is None:
+            entries[key] = "none"
+        elif type(value) is bool:
+            entries[key] = "true" if value else "false"
+        elif type(value) is tuple or hasattr(value, "__dataclass_fields__"):
+            _add_leaves(entries, key, value)
+        else:
+            entries[key] = str(value)
 
 
 def _manifest_entries(doc: ScenarioDocument, subcommand: str) -> dict:
@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output CSV path")
     parser.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     parser.add_argument("--trials", type=int, default=None, help="override the scenario trial count")
-    parser.add_argument("--workers", type=positive_int, default=1, help="parallel workers (never changes results)")
+    parser.add_argument("--workers", type=positive_int, default=1,
+                        help="parallel workers, at most one per 64 trials; never changes results")
     return parser
 
 

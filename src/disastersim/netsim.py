@@ -983,18 +983,21 @@ def estimate_grid(
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
     n = cfg.n_trials
-    # Chunks of whole blocks, about four per worker. Per-trial seeding makes
-    # any partition valid; summing integer counts in ascending chunk order
-    # keeps the result identical for any worker count.
-    chunk = _BLOCK * math.ceil(n / (max(workers, 1) * 4 * _BLOCK))
-    if workers <= 1 or chunk >= n:
+    # Chunks of whole blocks, about four per worker, and no worker with fewer
+    # than four whole blocks (at most one per 64 trials): forking and joining
+    # a pool costs about 10 ms, and on 2 cores two workers beat one on the
+    # fig5 sweep only from about 110-128 trials (silencing-run from 190-256).
+    # Per-trial seeding makes any partition valid; summing integer counts in
+    # ascending chunk order keeps the result identical for any worker count.
+    workers = min(workers, n // (4 * _BLOCK))
+    if workers <= 1:
         counts = _count_chunk(cfg, radii, policies, downlink, 0, n)
     else:
+        chunk = _BLOCK * math.ceil(n / (workers * 4 * _BLOCK))
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
         counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-        # a pool forks all its workers at the first submit, so none beyond the chunks
-        with ProcessPoolExecutor(max_workers=min(workers, len(starts))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
                                  repeat(downlink), starts, stops):
                 counts += part

@@ -134,10 +134,11 @@ def test_sweep_grid_cardinality(tmp_path):
 
 
 def test_sweep_worker_count_does_not_change_bytes(tmp_path):
+    # 128 trials are enough for a pool of 2 workers (at most one per 64 trials)
     scenario = write(tmp_path, SILENCING_SCENARIO)
     out1, out8 = tmp_path / "w1.csv", tmp_path / "w8.csv"
-    assert run(["silencing-sweep", "--scenario", scenario, "--out", out1, "--trials", 30, "--workers", 1]) == 0
-    assert run(["silencing-sweep", "--scenario", scenario, "--out", out8, "--trials", 30, "--workers", 8]) == 0
+    assert run(["silencing-sweep", "--scenario", scenario, "--out", out1, "--trials", 128, "--workers", 1]) == 0
+    assert run(["silencing-sweep", "--scenario", scenario, "--out", out8, "--trials", 128, "--workers", 8]) == 0
     assert out1.read_bytes() == out8.read_bytes()
     assert manifest_path(out1).read_bytes() == manifest_path(out8).read_bytes()
 

@@ -6,6 +6,7 @@ trial, what build_network + apply_policy + uplink_trial / downlink_trial
 give when each point is scored on its own.
 """
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -93,7 +94,8 @@ def base_cfg(**overrides):
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_grid_equals_per_point_reference(workers):
-    cfg = base_cfg(channel=ChannelParams(path_loss_exponent=3.5, sinr_threshold=0.3, noise_power=1e-14))
+    # 3 x 64 trials: every worker count here forks its full pool
+    cfg = base_cfg(channel=ChannelParams(path_loss_exponent=3.5, sinr_threshold=0.3, noise_power=1e-14), n_trials=192)
     radii = (4000.0, 9000.0, 14000.0)  # 14000 = sim_radius: no outer stations
     expected = assert_grid_matches(cfg, radii, POLICIES, workers)
     # the grid is not degenerate: policies and radii actually move the counts
@@ -110,7 +112,7 @@ def test_grid_equals_reference_with_coverage_holes():
     # No station survives in the disaster disk and the ring is often empty,
     # so the uplink has coverage holes; spectrum_split leaves downlink users
     # without a server whenever the silencing zone is empty.
-    cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=60)
+    cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=128)  # enough for a pool of 2
     expected = assert_grid_matches(cfg, (3500.0, 9000.0), POLICIES, workers=2)
     assert expected[:, :, 1].min() > 0
     assert expected[0, 3, 3] > 0
@@ -481,35 +483,54 @@ def test_property_trial_sums_are_sequential_sums(trials):
             assert kernel_sums(inner, exterior, n_inside) == (expected[0], expected[0] + 1.0 * expected[1])
 
 
-def test_pool_is_capped_at_the_chunk_count(monkeypatch):
-    # a process pool forks all its workers at the first submit; a fake pool
-    # records the size asked for and maps in this process
-    sizes = []
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor: records the size asked for and
+    the chunk spans mapped, and maps in this process."""
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+    def map(self, fn, cfg, radii, policies, downlink, starts, stops):
+        self.spans.append(list(zip(starts, stops)))
+        return map(fn, cfg, radii, policies, downlink, starts, stops)
 
-    # chunks are whole blocks: 83 trials make 5 chunks of one block and one of 3 trials
-    cfg = base_cfg(n_trials=5 * netsim._BLOCK + 3)
-    expected = estimate_grid(cfg, (9000.0,), FOUR, workers=1)
-    monkeypatch.setattr(netsim, "ProcessPoolExecutor", SerialPool)
-    assert estimate_grid(cfg, (9000.0,), FOUR, workers=64) == expected
-    assert estimate_grid(cfg, (9000.0,), FOUR, workers=2) == expected
-    assert sizes == [6, 2]
-    # a single chunk runs in this process and builds no pool
-    small = base_cfg(n_trials=10)
-    assert estimate_grid(small, (9000.0,), FOUR, workers=64) == estimate_grid(small, (9000.0,), FOUR, workers=1)
-    assert sizes == [6, 2]
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    class Pool(SerialPool):
+        sizes, spans = [], []
+
+    monkeypatch.setattr(netsim, "ProcessPoolExecutor", Pool)
+    return Pool
+
+
+def test_pool_forks_no_worker_below_four_blocks(serial_pool):
+    # at most one worker per 4 whole blocks (64 trials), and no pool for one:
+    # 127 trials on 2 workers run in this process
+    cases = [(8 * netsim._BLOCK - 1, 2), (8 * netsim._BLOCK, 2), (5 * 4 * netsim._BLOCK + 3, 64)]
+    for n_trials, workers in cases:
+        cfg = base_cfg(n_trials=n_trials)
+        assert estimate_grid(cfg, (9000.0,), FOUR, workers=workers) == estimate_grid(cfg, (9000.0,), FOUR, workers=1)
+    assert serial_pool.sizes == [2, 5]
+
+
+@pytest.mark.parametrize("n_trials,workers", [(128, 2), (323, 5), (1000, 3), (100_000, 2), (100_000, 8)])
+def test_pool_chunks_are_unchanged_with_four_blocks_per_worker(serial_pool, monkeypatch, n_trials, workers):
+    # with n >= 4 * workers * _BLOCK every worker is forked, and the chunks
+    # are about four per worker of whole blocks, as before the cap; the
+    # chunks count nothing here, so 100k trials cost no scoring
+    monkeypatch.setattr(netsim, "_count_chunk", lambda *chunk: 0)
+    block = netsim._BLOCK
+    chunk = block * math.ceil(n_trials / (workers * 4 * block))
+    estimate_grid(base_cfg(n_trials=n_trials), (9000.0,), FOUR, workers=workers)
+    assert serial_pool.sizes == [workers]
+    assert serial_pool.spans == [[(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]]
 
 
 def test_radius_outside_sim_radius_rejected():
@@ -583,6 +604,8 @@ def test_property_uplink_policy_identities(case):
 @given(small_configs())
 def test_property_counts_independent_of_workers(case):
     cfg, radii = case
+    # 2 workers fork a pool only from 8 whole blocks on
+    cfg = dataclasses.replace(cfg, n_trials=8 * netsim._BLOCK + cfg.n_trials)
     policies = (SilencingPolicy.none(), SilencingPolicy.partial(0.5), SilencingPolicy.spectrum_split())
     grid = estimate_grid(cfg, radii, policies, workers=1)
     assert estimate_grid(cfg, radii, policies, workers=2) == grid

@@ -485,7 +485,7 @@ def test_crn_silencing_radius_monotone_estimates():
 
 
 def test_estimate_worker_invariance():
-    cfg = unit_cfg(n_trials=120)
+    cfg = unit_cfg(n_trials=3 * 64)  # enough trials for a pool of 3 workers
     single = estimate_success(cfg, SilencingPolicy.partial(0.5))
     multi = estimate_success(cfg, SilencingPolicy.partial(0.5), workers=3)
     assert single == multi
@@ -623,7 +623,7 @@ def test_downlink_coverage_estimate_runs():
 
 
 def test_downlink_estimate_worker_invariance():
-    cfg = unit_cfg(n_trials=90, silencing_radius=9000.0)
+    cfg = unit_cfg(n_trials=4 * 64, silencing_radius=9000.0)  # enough trials for a pool of 4 workers
     a = estimate_silencing_area_coverage(cfg, SilencingPolicy.partial(0.4))
     b = estimate_silencing_area_coverage(cfg, SilencingPolicy.partial(0.4), workers=4)
     assert a == b
