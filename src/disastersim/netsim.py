@@ -71,24 +71,30 @@ ascending radius), and its outer zone the rest: one forward and one
 backward prefix sum over each trial's exterior row give I_sil and I_outer
 at every radius (_trial_sums). The uplink's terms do not depend on the
 radius, so it sums once per block for every radius. Every policy is then
-scored from the sums at once. The block is a small constant, because
-every batched array, and so peak memory, grows with it.
+scored from the sums at once. A block pays a fixed scoring cost, which a
+larger block spreads over more trials, but every batched array, and so
+peak memory, grows with it; so the block is a small constant, 32 trials.
+Each trial is its own row of every block array, so no count depends on
+the block size.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
 and fading draws. These properties make policy, radius and truncation
 comparisons exact per trial, not just statistical. Estimates reduce
 integer counts over fixed trial ranges in ascending order and are
-bit-identical for any worker count.
+bit-identical for any worker count. A process pool is forked only for at
+least 64 trials per worker (_TRIALS_PER_WORKER), and ProcessPoolExecutor
+is imported only then, so a run in one process never loads
+multiprocessing.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import repeat
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -636,10 +642,19 @@ def downlink_trial(
 
 
 # Trials per block of the silencing engine. A block's stations, about 500
-# per trial on paper_fig5, are scored as one set of ragged arrays. Every
-# temporary array of a block grows with it, and so does the engine's peak
-# RSS, so the block is a small constant rather than an option.
-_BLOCK = 16
+# per trial on paper_fig5, are scored as one set of ragged arrays, and each
+# block pays a fixed scoring cost (on the fig5 sweep grid, 7 _tally, 7
+# _nearest and 4 _distances calls whatever its size).
+# Every temporary array of a block grows with it, and so does the engine's
+# peak RSS, so the block is a small constant rather than an option: 32
+# halves the blocks of 16 for about 1.4 MB, and 64 ran within the noise of
+# 32 for 1.4-2.2 MB more (README, "Determinism"). No count depends on it.
+_BLOCK = 32
+
+# estimate_grid forks at most one worker per this many trials: forking and
+# joining a pool costs about 10 ms, and this break-even was measured
+# (README, "Determinism").
+_TRIALS_PER_WORKER = 64
 
 
 @dataclass
@@ -958,6 +973,22 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, downlink: bool, start: in
     return counts
 
 
+def __getattr__(name: str):
+    # ProcessPoolExecutor is imported on first use (PEP 562), so a run that
+    # builds no pool loads neither concurrent.futures.process nor
+    # multiprocessing. estimate_grid reads it as an attribute of this module
+    # (_module), so a replacement set on the module is the one it builds.
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
+_module = sys.modules[__name__]
+
+
 def estimate_grid(
     cfg: ScenarioConfig,
     radii,
@@ -983,13 +1014,14 @@ def estimate_grid(
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig.validate bounds every radius
     n = cfg.n_trials
-    # Chunks of whole blocks, about four per worker, and no worker with fewer
-    # than four whole blocks (at most one per 64 trials): forking and joining
-    # a pool costs about 10 ms, and on 2 cores two workers beat one on the
-    # fig5 sweep only from about 110-128 trials (silencing-run from 190-256).
+    # At most one worker per _TRIALS_PER_WORKER trials: forking and joining a
+    # pool costs about 10 ms, and on 2 cores two workers beat one on the fig5
+    # sweep only from about 110-128 trials (silencing-run from 190-256). With
+    # one worker the trials run here, and the process-pool modules are never
+    # imported. Otherwise chunks of whole blocks, about four per worker.
     # Per-trial seeding makes any partition valid; summing integer counts in
     # ascending chunk order keeps the result identical for any worker count.
-    workers = min(workers, n // (4 * _BLOCK))
+    workers = min(workers, n // _TRIALS_PER_WORKER)
     if workers <= 1:
         counts = _count_chunk(cfg, radii, policies, downlink, 0, n)
     else:
@@ -997,7 +1029,7 @@ def estimate_grid(
         starts = range(0, n, chunk)
         stops = [min(s + chunk, n) for s in starts]
         counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _module.ProcessPoolExecutor(max_workers=workers) as pool:
             for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
                                  repeat(downlink), starts, stops):
                 counts += part

@@ -88,6 +88,25 @@ def test_sample_ppp_deterministic_for_fixed_state():
     assert np.array_equal(a, b)
 
 
+def test_samplers_draw_count_then_radii_then_angles():
+    # the documented draw order as separate raw generator calls: the
+    # samplers' one call for all the uniforms gives the same numbers and
+    # leaves the generator in the same state
+    region = Annulus(100.0, 900.0)
+    rng, raw = np.random.default_rng(5), np.random.default_rng(5)
+
+    def place(u_radius, u_angle):
+        r = np.sqrt(region.r_inner**2 + u_radius * (region.r_outer**2 - region.r_inner**2))
+        theta = 2.0 * math.pi * u_angle
+        return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+    assert np.array_equal(sample_uniform(region, 7, rng), place(raw.random(7), raw.random(7)))
+    ppp = sample_ppp(region, 2e-4, rng)
+    count = raw.poisson(2e-4 * region.area)
+    assert count > 100 and np.array_equal(ppp, place(raw.random(count), raw.random(count)))
+    assert rng.random() == raw.random()
+
+
 def test_radial_sampler_count_moments():
     region = Annulus(2600.0, 20000.0)
     lam_area = 4e-7 * region.area

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import disaster_station, silencing_station, snapshot_from_stations
-from disastersim import geometry, netsim
+from disastersim import netsim
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import Annulus
 from disastersim.netsim import (
@@ -255,7 +255,8 @@ def test_grid_equals_reference_when_chunks_split_blocks():
     # 2 workers cut chunks of whole blocks, and the last one ends in a short
     # block; chunks that start mid-way through a block's range sum to the
     # same counts
-    n = 8 * (netsim._BLOCK + 3)
+    n = 2 * netsim._TRIALS_PER_WORKER + 24
+    assert n % netsim._BLOCK
     cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
     expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
     edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
@@ -283,22 +284,69 @@ def test_grid_without_terrestrial_stations():
     assert_grid_matches(aerial, (9000.0,), FOUR, workers=1)
 
 
+def test_block_size_changes_no_count(monkeypatch):
+    # each trial is its own row of every block array, so how many trials a
+    # block holds moves no count: 70 trials make 70 blocks of 1, ten of 7
+    # and a short one, ..., or one of 64 and a short one
+    cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=70, master_seed=61,
+                   aerial=AerialTier(density=5e-8, altitude=300.0, tx_power=0.5))
+    radii = (3500.0, 9000.0, 14000.0)
+    grids = []
+    for block in (1, 7, 16, 32, 64):
+        monkeypatch.setattr(netsim, "_BLOCK", block)
+        grids.append(estimate_grid(cfg, radii, POLICIES))
+    assert all(grid == grids[0] for grid in grids[1:])
+    # coverage holes on both links, and counts that move with the policy
+    holes = [(up.n_coverage_holes, down.n_coverage_holes) for row in grids[0] for up, down in row]
+    assert min(h for h, _ in holes) > 0 and max(h for _, h in holes) > 0
+    assert len({up.value for row in grids[0] for up, _ in row}) > 2
+
+
+def polar(r: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+    theta = 2.0 * math.pi * u_angle
+    return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
+
+
 def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
-    """Trial t's realization from the public geometry samplers on fresh
-    streams, in the draw order the netsim module docstring gives."""
+    """Trial t's realization from raw generator calls on fresh streams, one
+    call per quantity in the draw order the netsim module docstring gives,
+    placed with the placement formulas written out here.
+
+    It shares no code with the engine's draws, so a change to how the engine
+    makes its generator calls (merging consecutive ones, say) must keep
+    every number this replay draws.
+    """
     geom = trial_rng(cfg.master_seed, t, STREAM_GEOMETRY)
-    disk = geometry.disk(cfg.disaster_radius)
-    device = geometry.sample_uniform(disk, 1, geom)[0]
-    disaster = geometry.sample_ppp(disk, cfg.bs_density, geom)
-    survives = geom.random(len(disaster)) < cfg.bs_survival_prob
-    ring = geometry.sample_ppp(Annulus(cfg.disaster_radius, cfg.ring_outer_radius), cfg.bs_density, geom)
-    aerial = geometry.sample_ppp(disk, cfg.aerial.density, geom) if cfg.aerial else np.empty((0, 2))
-    if cfg.sim_radius > cfg.ring_outer_radius:
-        exterior_region = Annulus(cfg.ring_outer_radius, cfg.sim_radius)
-        exterior_rng = trial_rng(cfg.master_seed, t, STREAM_EXTERIOR)
-        exterior = geometry.sample_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
-    else:
-        exterior = np.empty((0, 2))
+
+    def ppp(r_in: float, r_out: float, density: float, marks: int = 0):
+        # count, radius fractions, angle fractions, then marks per point
+        if density == 0.0:
+            return np.empty((0, 2)), [np.empty(0)] * marks
+        count = geom.poisson(density * Annulus(r_in, r_out).area)
+        u_radius, u_angle = geom.random(count), geom.random(count)
+        extra = [geom.random(count) for _ in range(marks)]
+        return polar(np.sqrt(r_in**2 + u_radius * (r_out**2 - r_in**2)), u_angle), extra
+
+    u_radius, u_angle = geom.random(1), geom.random(1)
+    device = polar(np.sqrt(0.0**2 + u_radius * (cfg.disaster_radius**2 - 0.0**2)), u_angle)[0]
+    disaster, (survival,) = ppp(0.0, cfg.disaster_radius, cfg.bs_density, marks=1)
+    ring, _ = ppp(cfg.disaster_radius, cfg.ring_outer_radius, cfg.bs_density)
+    aerial, _ = ppp(0.0, cfg.disaster_radius, cfg.aerial.density) if cfg.aerial else (np.empty((0, 2)), [])
+
+    # exterior: steps of 256 exponential gaps, then 256 angle fractions, until
+    # the cumulative arrivals pass the annulus's expected count
+    r_in, density = cfg.ring_outer_radius, cfg.bs_density
+    target = density * Annulus(r_in, cfg.sim_radius).area
+    ext = trial_rng(cfg.master_seed, t, STREAM_EXTERIOR)
+    gaps, angles = [np.empty(0)], [np.empty(0)]
+    while density > 0.0 and (gaps[-1].size == 0 or np.cumsum(np.concatenate(gaps))[-1] < target):
+        gaps.append(ext.exponential(size=256))
+        angles.append(ext.random(256))
+    measure = np.cumsum(np.concatenate(gaps))
+    inside = measure <= target
+    exterior = polar(np.sqrt(r_in**2 + measure[inside] / (density * math.pi)), np.concatenate(angles)[inside])
+
+    survives = survival < cfg.bs_survival_prob
     n_d, n_r, n_a, n_e = len(disaster), len(ring), len(aerial), len(exterior)
     radius = np.hypot(exterior[:, 0], exterior[:, 1])
     zone = [netsim.Zone.DISASTER] * n_d + [netsim.Zone.ACTIVE_RING] * n_r + [netsim.Zone.DISASTER] * n_a
@@ -312,10 +360,11 @@ def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
         tx=np.array([cfg.bs_tx_power] * (n_d + n_r) + [cfg.aerial.tx_power if cfg.aerial else 0.0] * n_a
                     + [cfg.bs_tx_power] * n_e),
         alive=np.concatenate([survives, np.ones(n_r + n_a + n_e, dtype=bool)]),
+        arrival_steps=len(gaps) - 1,
     )
 
 
-def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
+def assert_block_equals_replay(cfg: ScenarioConfig, trials: range) -> list[dict]:
     # entry for entry, the block's stations are the replayed ones and its
     # fading is the kernels' uplink and downlink draws; build_network is a
     # one-trial block, so it is checked against the replay as well
@@ -323,8 +372,10 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
     up_g, up_h = block.up_fading
     user_u, down_g, down_h = block.down_draws
     assert block.n_trials == len(trials)
+    replays = []
     for i, t in enumerate(trials):
         want = replay_trial(cfg, t)
+        replays.append(want)
         lo, hi = block.bounds[i], block.bounds[i + 1]
         assert hi - lo == len(want["xy"])
         assert np.array_equal(block.x[lo:hi], want["xy"][:, 0]) and np.array_equal(block.y[lo:hi], want["xy"][:, 1])
@@ -345,11 +396,26 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range):
         assert np.array_equal(net.xy, want["xy"]) and np.array_equal(net.zone, want["zone"])
         assert np.array_equal(net.altitude, want["altitude"]) and np.array_equal(net.tx_power, want["tx"])
         assert np.array_equal(net.alive, want["alive"]) and np.array_equal(net.device_xy, want["device"])
+    return replays
 
 
 def test_block_sample_equals_sample_trial():
     cfg = base_cfg(aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3), master_seed=31)
     assert_block_equals_replay(cfg, range(3, 3 + netsim._BLOCK))
+
+
+@pytest.mark.parametrize("bs_density", [2e-6, 0.0])
+def test_block_sample_equals_raw_draw_replay(bs_density):
+    # 2e-6 puts about 1200 arrivals in the exterior, at least 3 steps of 256;
+    # density 0 draws no terrestrial station, and the aerial tier still flies
+    cfg = base_cfg(bs_density=bs_density, aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3),
+                   bs_survival_prob=0.4, master_seed=57)
+    replays = assert_block_equals_replay(cfg, range(5, 5 + netsim._BLOCK + 3))
+    steps = [want["arrival_steps"] for want in replays]
+    if bs_density > 0.0:
+        assert min(steps) >= 3
+    else:
+        assert max(steps) == 0 and sum(want["tx"].size for want in replays) > 0  # aerial stations only
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -510,10 +576,12 @@ def serial_pool(monkeypatch):
     return Pool
 
 
-def test_pool_forks_no_worker_below_four_blocks(serial_pool):
-    # at most one worker per 4 whole blocks (64 trials), and no pool for one:
-    # 127 trials on 2 workers run in this process
-    cases = [(8 * netsim._BLOCK - 1, 2), (8 * netsim._BLOCK, 2), (5 * 4 * netsim._BLOCK + 3, 64)]
+def test_pool_forks_at_most_one_worker_per_64_trials(serial_pool):
+    # the rule counts trials, not blocks, and no pool for one worker: 127
+    # trials on 2 workers run in this process, 128 fork 2, and 5 * 64 + 3
+    # trials on 64 workers fork 5
+    assert netsim._TRIALS_PER_WORKER == 64
+    cases = [(127, 2), (128, 2), (5 * 64 + 3, 64)]
     for n_trials, workers in cases:
         cfg = base_cfg(n_trials=n_trials)
         assert estimate_grid(cfg, (9000.0,), FOUR, workers=workers) == estimate_grid(cfg, (9000.0,), FOUR, workers=1)
@@ -522,9 +590,9 @@ def test_pool_forks_no_worker_below_four_blocks(serial_pool):
 
 @pytest.mark.parametrize("n_trials,workers", [(128, 2), (323, 5), (1000, 3), (100_000, 2), (100_000, 8)])
 def test_pool_chunks_are_unchanged_with_four_blocks_per_worker(serial_pool, monkeypatch, n_trials, workers):
-    # with n >= 4 * workers * _BLOCK every worker is forked, and the chunks
-    # are about four per worker of whole blocks, as before the cap; the
-    # chunks count nothing here, so 100k trials cost no scoring
+    # with n >= 64 * workers every worker is forked, and the chunks are
+    # about four per worker of whole blocks, as before the cap; the chunks
+    # count nothing here, so 100k trials cost no scoring
     monkeypatch.setattr(netsim, "_count_chunk", lambda *chunk: 0)
     block = netsim._BLOCK
     chunk = block * math.ceil(n_trials / (workers * 4 * block))
@@ -604,8 +672,8 @@ def test_property_uplink_policy_identities(case):
 @given(small_configs())
 def test_property_counts_independent_of_workers(case):
     cfg, radii = case
-    # 2 workers fork a pool only from 8 whole blocks on
-    cfg = dataclasses.replace(cfg, n_trials=8 * netsim._BLOCK + cfg.n_trials)
+    # 2 workers fork a pool only from 2 * 64 trials on
+    cfg = dataclasses.replace(cfg, n_trials=2 * netsim._TRIALS_PER_WORKER + cfg.n_trials)
     policies = (SilencingPolicy.none(), SilencingPolicy.partial(0.5), SilencingPolicy.spectrum_split())
     grid = estimate_grid(cfg, radii, policies, workers=1)
     assert estimate_grid(cfg, radii, policies, workers=2) == grid

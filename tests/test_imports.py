@@ -16,13 +16,8 @@ import disastersim
 from disastersim import cli, errors, netsim, planner
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
-ENGINE = [
-    "disastersim.netsim",
-    "disastersim.planner",
-    "disastersim.geometry",
-    "concurrent.futures.process",
-    "multiprocessing",
-]
+ENGINE = ["disastersim.netsim", "disastersim.planner", "disastersim.geometry"]
+POOL = ["concurrent.futures.process", "multiprocessing"]
 ANALYTIC = ["disastersim.satwet", "disastersim.acb"]
 
 CHILD = """
@@ -70,7 +65,7 @@ def test_analytic_subcommands_never_load_the_engine(tmp_path):
         ["satwet-curve", "--scenario", fig4, "--out", str(tmp_path / "curve.csv")],
         ["acb-run", "--scenario", acb, "--out", str(tmp_path / "acb.csv")],
     ]
-    stages = modules_loaded(ENGINE + ANALYTIC, [["fig4", fig4], ["acb", acb]], runs)
+    stages = modules_loaded(ENGINE + POOL + ANALYTIC, [["fig4", fig4], ["acb", acb]], runs)
     assert stages["package"] == []
     assert stages["cli"] == []
     assert stages["fig4"] == ["disastersim.satwet"]
@@ -78,9 +73,37 @@ def test_analytic_subcommands_never_load_the_engine(tmp_path):
     assert stages["main"] == ["disastersim.acb", "disastersim.satwet"]
 
 
-def test_silencing_scenario_loads_no_analytic_model():
-    stages = modules_loaded(ENGINE + ANALYTIC, [["fig5", str(SCENARIOS / "paper_fig5.yaml")]])
+def silencing_runs(tmp_path, trials: int) -> list[list[str]]:
+    common = ["--scenario", str(SCENARIOS / "paper_fig5.yaml"), "--trials", str(trials), "--workers", "2"]
+    return [
+        ["silencing-run", "--out", str(tmp_path / "run.csv"), *common],
+        ["silencing-sweep", "--out", str(tmp_path / "sweep.csv"), *common],
+    ]
+
+
+def test_silencing_scenario_loads_no_analytic_model(tmp_path):
+    # 127 trials fork no worker (at most one per 64 trials), so neither the
+    # scenario nor the in-process runs load the process-pool modules
+    stages = modules_loaded(ENGINE + POOL + ANALYTIC, [["fig5", str(SCENARIOS / "paper_fig5.yaml")]],
+                            silencing_runs(tmp_path, 127))
     assert stages["fig5"] == sorted(ENGINE)
+    assert stages["main"] == sorted(ENGINE)
+
+
+def test_a_pooled_run_loads_the_process_pool(tmp_path):
+    # a 128-trial sweep on 2 workers forks a pool
+    stages = modules_loaded(ENGINE + POOL, [["fig5", str(SCENARIOS / "paper_fig5.yaml")]],
+                            silencing_runs(tmp_path, 128)[1:])
+    assert stages["fig5"] == sorted(ENGINE)
+    assert stages["main"] == sorted(ENGINE + POOL)
+
+
+def test_netsim_process_pool_is_the_standard_one():
+    import concurrent.futures
+
+    assert netsim.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    with pytest.raises(AttributeError):
+        netsim.no_such_name
 
 
 def test_help_loads_no_model():
