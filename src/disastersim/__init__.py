@@ -12,7 +12,7 @@ does not import the Monte Carlo engine.
 
 import importlib
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 # Each submodule and the public names it defines; every name is listed once.
 _MODULE_EXPORTS = {

@@ -67,6 +67,8 @@ def _annulus_radius(region: Annulus, u_radius: np.ndarray) -> np.ndarray:
 def _radial_radius(region: Annulus, density: float, measure: np.ndarray) -> np.ndarray:
     # An arrival at cumulative expected count m lies where the annulus from
     # r_inner out to r holds m points: density * pi * (r^2 - r_inner^2) = m.
+    # Each step (division by a positive constant, adding a constant, sqrt)
+    # is correctly rounded and so monotone: r never decreases where m does not.
     return np.sqrt(region.r_inner**2 + measure / (density * math.pi))
 
 
@@ -156,6 +158,12 @@ def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator)
     generator in the same state, the smaller region's points are a bit-exact
     prefix of the larger region's. Interference truncation studies rely on
     this to compare simulation radii with common random numbers.
+
+    The placement radius never decreases along the points, in floating
+    point too: the arrival counts are a sequential cumulative sum of
+    non-negative gaps, and each step from count to radius is correctly
+    rounded and monotone (_radial_radius). So the points within any radius,
+    by that placement radius, are a prefix; netsim's silencing zone is one.
     """
     measure, u_angle = _draw_ppp_radial(region, density, rng)
     return _polar_to_xy(_radial_radius(region, density, measure), u_angle)

@@ -64,16 +64,18 @@ else runs once per block, on the block's stations concatenated into ragged
 arrays: it places the stations, counts each trial's silencing-zone
 stations at every radius, computes distances, path gains and the
 full-power received terms, and finds each trial's serving station as the
-first index of its segment minimum (np.minimum.reduceat). A trial's
-exterior stations are contiguous, and its silencing zone at a radius is
-the first of them, as many as lie within the radius (they are sampled in
-ascending radius), and its outer zone the rest: one forward and one
-backward prefix sum over each trial's exterior row give I_sil and I_outer
-at every radius (_trial_sums). The uplink's terms do not depend on the
-radius, so it sums once per block for every radius. Every policy is then
-scored from the sums at once. A block pays a fixed scoring cost, which a
-larger block spreads over more trials, but every batched array, and so
-peak memory, grows with it; so the block is a small constant, 32 trials.
+first index of its segment minimum (np.minimum.reduceat). A station's
+radius is the one placement computed (_Block.radius), and the silencing
+zone at r_s is the exterior stations with radius <= r_s, the outer zone
+the rest. A trial's exterior stations are contiguous and their radius
+never decreases (see geometry._radial_radius), so its silencing zone is
+a prefix of its exterior row: one forward and one backward prefix sum
+over that row give I_sil and I_outer at every radius (_trial_sums). The
+uplink's terms do not depend on the radius, so it sums once per block for
+every radius. Every policy is then scored from the sums at once. A block
+pays a fixed scoring cost, which a larger block spreads over more trials,
+but every batched array, and so peak memory, grows with it; so the block
+is a small constant, 32 trials.
 Each trial is its own row of every block array, so no count depends on
 the block size.
 
@@ -374,11 +376,11 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
     return geometry.disk(disaster_radius), Annulus(disaster_radius, ring_outer), Annulus(ring_outer, sim_radius)
 
 
-# Station tiers, in each trial's station order; exterior stations are split
-# into the silencing and outer zones by radius.
+# Station tiers, in each trial's station order; exterior stations are in the
+# outer zone unless their radius puts them in the silencing zone.
 _DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
 _TIERS = np.arange(4, dtype=np.int8)
-_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.SILENCING], dtype=np.int8)
+_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)
 
 
 class _Draws(NamedTuple):
@@ -426,11 +428,10 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     Stations arrive as independent PPPs at bs_density per zone: the disaster
     disk (then survival-thinned via alive marks), the active ring, and the
     exterior annulus out to sim_radius, which is split into silencing and
-    outer zones by radius against cfg.silencing_radius: the silencing zone
-    is the first exterior stations, as many as lie within that radius (see
-    _Block.silencing_counts). Splitting one exterior process by radius
-    keeps realizations comparable across silencing radii with common random
-    numbers.
+    outer zones by radius: an exterior station whose placement radius is at
+    most cfg.silencing_radius is in the silencing zone, as in the engine.
+    Splitting one exterior process by radius keeps realizations comparable
+    across silencing radii with common random numbers.
     """
     draws = _sample_trial(
         cfg,
@@ -440,8 +441,7 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     block = _place_block(cfg, [draws])
     n = block.tier.size
     zone = _TIER_ZONE[block.tier]
-    (inside,) = block.silencing_counts((cfg.silencing_radius,))
-    zone[block.exterior & ~block.silencing_zone(inside)] = Zone.OUTER
+    zone[block.exterior & (block.radius <= cfg.silencing_radius)] = Zone.SILENCING
     return NetworkSnapshot(
         xy=np.column_stack((block.x, block.y)),
         zone=zone,
@@ -469,9 +469,10 @@ def apply_policy(net: NetworkSnapshot, policy: SilencingPolicy) -> NetworkSnapsh
     return out
 
 
-def _distances_3d(xy: np.ndarray, alt: np.ndarray, point_xy: np.ndarray, point_alt: float) -> np.ndarray:
-    planar_sq = (xy[:, 0] - point_xy[0]) ** 2 + (xy[:, 1] - point_xy[1]) ** 2
-    return np.sqrt(planar_sq + (alt - point_alt) ** 2)
+def _distance(x, y, z, px, py, pz) -> np.ndarray:
+    """Elementwise 3-D distance from stations (x, y, z) to points (px, py,
+    pz), the one distance formula of the kernels and the engine."""
+    return np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
 
 
 def _prefix_sums(terms: np.ndarray) -> np.ndarray:
@@ -508,7 +509,7 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     f = float(factors[0]) if factors.size else 1.0
     if np.any(factors != f):
         raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
-    gains = _clamped_path_gain(_distances_3d(net.xy[idx], net.altitude[idx], point_xy, point_alt), ch)
+    gains = _clamped_path_gain(_distance(*net.xy[idx].T, net.altitude[idx], *point_xy, point_alt), ch)
     terms = np.where(sil, 1.0, net.power_factor[idx]) * net.tx_power[idx] * bs_fading[idx] * gains
     i_inner = _prefix_sums(terms[~(sil | outer)])[-1]
     i_outer = _prefix_sums(terms[outer][::-1])[-1]
@@ -562,7 +563,7 @@ def uplink_sinr(
     if candidates.size == 0:
         return math.nan, -1
 
-    d_dev = _distances_3d(net.xy[candidates], net.altitude[candidates], net.device_xy, 0.0)
+    d_dev = _distance(*net.xy[candidates].T, net.altitude[candidates], *net.device_xy, 0.0)
     pick = int(np.argmin(d_dev))
     serving = int(candidates[pick])
     signal = cfg.device_tx_power * device_fading * _clamped_path_gain(d_dev[pick], ch)
@@ -610,7 +611,7 @@ def downlink_sinr(
     if candidates.size == 0:
         return math.nan, -1
 
-    d_user = _distances_3d(net.xy[candidates], net.altitude[candidates], user_xy, 0.0)
+    d_user = _distance(*net.xy[candidates].T, net.altitude[candidates], *user_xy, 0.0)
     pick = int(np.argmin(d_user))
     serving = int(candidates[pick])
     signal = net.power_factor[serving] * net.tx_power[serving] * user_fading * _clamped_path_gain(d_user[pick], ch)
@@ -644,7 +645,7 @@ def downlink_trial(
 # Trials per block of the silencing engine. A block's stations, about 500
 # per trial on paper_fig5, are scored as one set of ragged arrays, and each
 # block pays a fixed scoring cost (on the fig5 sweep grid, 7 _tally, 7
-# _nearest and 4 _distances calls whatever its size).
+# _nearest and 4 _distance calls whatever its size).
 # Every temporary array of a block grows with it, and so does the engine's
 # peak RSS, so the block is a small constant rather than an option: 32
 # halves the blocks of 16 for about 1.4 MB, and 64 ran within the noise of
@@ -674,7 +675,7 @@ class _Block:
     tx: np.ndarray  # (n,) W
     alive: np.ndarray  # (n,) bool
     exterior: np.ndarray  # (n,) bool, silencing or outer zone
-    radius: np.ndarray  # (n,) m, hypot(x, y)
+    radius: np.ndarray  # (n,) m, planar radius from placement; never decreasing along a trial's exterior
     device: np.ndarray  # (n_trials, 2) m
     n_inner: np.ndarray  # (n_trials,) disaster, ring and aerial stations
     n_exterior: np.ndarray  # (n_trials,)
@@ -694,21 +695,13 @@ class _Block:
         """A per-trial array with each entry repeated for every station of its trial."""
         return per_trial[self.owner]
 
-    def silencing_zone(self, inside: np.ndarray) -> np.ndarray:
-        """(n,) bool, the silencing-zone stations: the first inside[t]
-        exterior stations of each trial t (see silencing_counts)."""
-        first_exterior = self.bounds[1:] - self.n_exterior
-        return self.exterior & (np.arange(self.tier.size) < self.spread(first_exterior + inside))
-
     def silencing_counts(self, radii) -> np.ndarray:
         """(n_trials, len(radii)): how many of each trial's exterior stations
-        lie within each radius.
+        are in the silencing zone, radius <= r_s, at each radius r_s.
 
-        A trial's silencing zone at a radius is its first that many exterior
-        stations, and its outer zone the rest (see silencing_zone), so I_sil
-        and I_outer are prefix sums of its exterior row (see _trial_sums).
-        Exterior stations are sampled by ascending radius, so these are the
-        stations within the radius whenever their hypot(x, y) ascends too.
+        radius never decreases along a trial's exterior stations, so these
+        are its first that many, and I_sil and I_outer are prefix sums of
+        its exterior row (see _trial_sums).
         """
         owner, radius = self.owner[self.exterior], self.radius[self.exterior]
         return np.array([np.bincount(owner[radius <= r_s], minlength=self.n_trials) for r_s in radii]).T
@@ -755,7 +748,7 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
         tx=tx,
         alive=alive,
         exterior=exterior,
-        radius=np.hypot(x, y),
+        radius=r,
         device=device,
         n_inner=sizes[:, :_EXTERIOR].sum(axis=1),
         n_exterior=sizes[:, _EXTERIOR],
@@ -793,13 +786,6 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
     if downlink:
         block.down_draws = np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)
     return block
-
-
-def _distances(block: _Block, px: np.ndarray, py: np.ndarray, pz: np.ndarray) -> np.ndarray:
-    """3-D distance from every station to its trial's point, given per-trial
-    point coordinates, with _distances_3d's arithmetic."""
-    planar_sq = (block.x - block.spread(px)) ** 2 + (block.y - block.spread(py)) ** 2
-    return np.sqrt(planar_sq + (block.alt - block.spread(pz)) ** 2)
 
 
 def _nearest(bounds: np.ndarray, candidates: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -898,9 +884,8 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     ch = cfg.channel
     g, h = block.up_fading
     candidates = np.flatnonzero(block.alive & ~block.exterior)
-    owner = block.owner[candidates]
-    planar_sq = (block.x[candidates] - block.device[owner, 0]) ** 2 + (block.y[candidates] - block.device[owner, 1]) ** 2
-    d_device = np.sqrt(planar_sq + block.alt[candidates] ** 2)
+    device = block.device[block.owner[candidates]]
+    d_device = _distance(block.x[candidates], block.y[candidates], block.alt[candidates], *device.T, 0.0)
     serving = _nearest(block.bounds, candidates, d_device)
     served = serving >= 0
     if not served.any():  # every trial is a hole, and a block may have no station to index
@@ -908,8 +893,9 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
         return
     d0 = d_device[np.searchsorted(candidates, serving[served])]
     signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
-    src = np.maximum(serving, 0)  # a trial without a server is never scored
-    gains = _clamped_path_gain(_distances(block, block.x[src], block.y[src], block.alt[src]), ch)
+    src = block.spread(np.maximum(serving, 0))  # a trial without a server is never scored
+    d = _distance(block.x, block.y, block.alt, block.x[src], block.y[src], block.alt[src])
+    gains = _clamped_path_gain(d, ch)
     counts += _tally(ch, block, serving, signal, block.tx * h * gains, block.alive.copy(), inside, factors)
 
 
@@ -928,10 +914,10 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.n
     ch = cfg.channel
     user_u, g, h = block.down_draws
     user = geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1])
-    d = _distances(block, user[:, 0], user[:, 1], np.zeros(block.n_trials))
+    d = _distance(block.x, block.y, block.alt, block.spread(user[:, 0]), block.spread(user[:, 1]), 0.0)
     gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
-    sil = block.silencing_zone(inside[:, 0])
+    sil = block.exterior & (block.radius <= r_s)
     groups = {}
     for j, (fixed, silenced) in enumerate(factors):
         groups.setdefault((fixed > 0.0, silenced > 0.0), []).append(j)

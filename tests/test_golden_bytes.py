@@ -23,11 +23,11 @@ FIG5 = SCENARIOS / "paper_fig5.yaml"
 GOLDEN = {
     ("silencing-run", 200, 1): (
         "6c5c0964a86c4157082ef70c3e7fb715a5fb77852d658aa64c0ac1c59370f4ad",
-        "42eae1f4edf31e58d84af650e5ccbd8d62f72a1c989ff5decddffed8775ba2b1",
+        "f59779395e3a16a13a82d8c3a58b9facf0ce6d397f0fbe2bf64af6eb84071756",
     ),
     ("silencing-sweep", 60, 2): (
         "0698d88e66e7f51fb4528126b95f3d4630622ec8ea770754e862595b07b8e762",
-        "0b9ad715ffa9ffbf58e9865fb0a35b2a60bd0eb74c3d7edf752837b1daa6a3a5",
+        "ed65907343ab5d07b88a990edda49745e953f2bc80b8d1cdadb5051b5e5eb4f3",
     ),
 }
 
@@ -104,11 +104,11 @@ silencing:
 AERIAL_GOLDEN = {
     ("silencing-run", 120, 2): (
         "c2f603863f41dba0afad738a502b9a501ee3c33945fad28afec423d9ef01b7c6",
-        "e94f36dc6b609a0a94d6f95b415b7943d6faa7ddb6231cfc4fc7fc02458ede4e",
+        "970331637077b13872b600178daa9f426b60face02c96f1832e7fe16c859b9db",
     ),
     ("silencing-sweep", 40, 1): (
         "a08ce6864b34bc8d93291cb8c97f88ddacbdf3a2490180bac18594b974c0b340",
-        "3976ce2721bf89f0966bdb8046d9d619605511bf1d464bc6ba316e32ae613ecd",
+        "9619e5ecd5b7c2e5d971cb59d9d85ac9600b5e60c0663efd60049ef7d8b4cad2",
     ),
 }
 
@@ -138,19 +138,19 @@ satwet:
 SCENARIO_GOLDEN = {
     ("satwet-curve", "paper_fig4.yaml", ()): (
         "90e767555265a57af4b5316c3423d13161dfef1ef9371b643072272790bc71be",
-        "d5c2cf3fa78b05114a343aec20a95ab8e919305c2424e07b8f79554a754da5c9",
+        "fbb6756188d9e3c39cd9ad3faa6caeebd1d99c9e20b9d6e1599f40ba96b60019",
     ),
     ("acb-run", "acb_example.yaml", ()): (
         "e4b26dd40fcc16acda8e75f63b02f26d06f599f2f040014e12180b5cc50b9f53",
-        "54398b45cf8d942e87330e2346bbe4c9f60a4f3b503d946ee38f73298313fe87",
+        "22ffd7d8ac0525cb488dc8690b2f0625f19e11c6ebb8ba5891838546482d89cf",
     ),
     ("silencing-run", "defaults", ("--trials", "100")): (
         "bb78adfcb4ec9eb9f0d073487dbc5c44dc7fbc848cd54ffb7aa4941a870e0ce9",
-        "ce606ed7512937161659bca743ef22ce0e5510130fe9c390b6f22ea7adf72b07",
+        "eb431384b8f1513f0c8d3629c332e667a8f74b085759658b5b7e87e6e6b2bc0d",
     ),
     ("satwet-curve", "defaults", ()): (
         "d5dde81e53f193ec9b5c35857b7fcd0162f6ab9de265f20ee40c24e851d5d62d",
-        "60f158b6e53b2690adcd647fee2891d4f67d690b7ed87744fad9e3734164fd73",
+        "226071caf02f43799fbc5b3d302ca88588b7dbe989d6428bade93d7f0ab395da",
     ),
 }
 

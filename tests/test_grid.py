@@ -319,19 +319,20 @@ def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
     geom = trial_rng(cfg.master_seed, t, STREAM_GEOMETRY)
 
     def ppp(r_in: float, r_out: float, density: float, marks: int = 0):
-        # count, radius fractions, angle fractions, then marks per point
+        # count, radius fractions, angle fractions, then marks per point;
+        # returns the placement radii, the angle fractions and the marks
         if density == 0.0:
-            return np.empty((0, 2)), [np.empty(0)] * marks
+            return np.empty(0), np.empty(0), [np.empty(0)] * marks
         count = geom.poisson(density * Annulus(r_in, r_out).area)
         u_radius, u_angle = geom.random(count), geom.random(count)
         extra = [geom.random(count) for _ in range(marks)]
-        return polar(np.sqrt(r_in**2 + u_radius * (r_out**2 - r_in**2)), u_angle), extra
+        return np.sqrt(r_in**2 + u_radius * (r_out**2 - r_in**2)), u_angle, extra
 
     u_radius, u_angle = geom.random(1), geom.random(1)
     device = polar(np.sqrt(0.0**2 + u_radius * (cfg.disaster_radius**2 - 0.0**2)), u_angle)[0]
-    disaster, (survival,) = ppp(0.0, cfg.disaster_radius, cfg.bs_density, marks=1)
-    ring, _ = ppp(cfg.disaster_radius, cfg.ring_outer_radius, cfg.bs_density)
-    aerial, _ = ppp(0.0, cfg.disaster_radius, cfg.aerial.density) if cfg.aerial else (np.empty((0, 2)), [])
+    *disaster, (survival,) = ppp(0.0, cfg.disaster_radius, cfg.bs_density, marks=1)
+    *ring, _ = ppp(cfg.disaster_radius, cfg.ring_outer_radius, cfg.bs_density)
+    *aerial, _ = ppp(0.0, cfg.disaster_radius, cfg.aerial.density) if cfg.aerial else (np.empty(0), np.empty(0), [])
 
     # exterior: steps of 256 exponential gaps, then 256 angle fractions, until
     # the cumulative arrivals pass the annulus's expected count
@@ -344,16 +345,17 @@ def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
         angles.append(ext.random(256))
     measure = np.cumsum(np.concatenate(gaps))
     inside = measure <= target
-    exterior = polar(np.sqrt(r_in**2 + measure[inside] / (density * math.pi)), np.concatenate(angles)[inside])
+    exterior = np.sqrt(r_in**2 + measure[inside] / (density * math.pi)), np.concatenate(angles)[inside]
 
     survives = survival < cfg.bs_survival_prob
-    n_d, n_r, n_a, n_e = len(disaster), len(ring), len(aerial), len(exterior)
-    radius = np.hypot(exterior[:, 0], exterior[:, 1])
+    n_d, n_r, n_a, n_e = (len(r) for r, _ in (disaster, ring, aerial, exterior))
+    radius, angle = (np.concatenate(parts) for parts in zip(disaster, ring, aerial, exterior))
     zone = [netsim.Zone.DISASTER] * n_d + [netsim.Zone.ACTIVE_RING] * n_r + [netsim.Zone.DISASTER] * n_a
-    zone += [netsim.Zone.SILENCING if r <= cfg.silencing_radius else netsim.Zone.OUTER for r in radius]
+    zone += [netsim.Zone.SILENCING if r <= cfg.silencing_radius else netsim.Zone.OUTER for r in exterior[0]]
     return dict(
         device=device,
-        xy=np.vstack([disaster, ring, aerial, exterior]),
+        xy=polar(radius, angle),
+        radius=radius,
         zone=np.array(zone, dtype=np.int8),
         exterior=np.array([False] * (n_d + n_r + n_a) + [True] * n_e),
         altitude=np.array([0.0] * (n_d + n_r) + [cfg.aerial.altitude if cfg.aerial else 0.0] * n_a + [0.0] * n_e),
@@ -383,7 +385,7 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range) -> list[dict]
         assert np.array_equal(block.tx[lo:hi], want["tx"])
         assert np.array_equal(block.alive[lo:hi], want["alive"])
         assert np.array_equal(block.exterior[lo:hi], want["exterior"])
-        assert np.array_equal(block.radius[lo:hi], np.hypot(want["xy"][:, 0], want["xy"][:, 1]))
+        assert np.array_equal(block.radius[lo:hi], want["radius"])
         assert np.array_equal(block.device[i], want["device"])
         n_bs = hi - lo
         up = trial_rng(cfg.master_seed, t, STREAM_UPLINK)
@@ -443,6 +445,62 @@ def test_property_block_sample_equals_geometry_replay(bs_density, aerial_density
         master_seed=seed,
     )
     assert_block_equals_replay(cfg, range(first, first + n))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    bs_density=st.sampled_from([2e-9, 4e-7, 2e-6]),
+    disaster_radius=st.floats(300.0, 3000.0),
+    ring_width=st.floats(50.0, 1000.0),
+    exterior_width=st.floats(500.0, 14000.0),
+    picks=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=3),
+    first=st.integers(0, 10**6),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_property_silencing_zone_is_a_radius_prefix(bs_density, disaster_radius, ring_width, exterior_width,
+                                                    picks, first, n, seed):
+    ring_outer = disaster_radius + ring_width
+    cfg = ScenarioConfig(
+        disaster_radius=disaster_radius,
+        active_ring_width=ring_width,
+        silencing_radius=ring_outer + exterior_width,
+        sim_radius=ring_outer + exterior_width,
+        bs_density=bs_density,
+        n_trials=1,
+        master_seed=seed,
+    )
+    block = netsim._sample_block(cfg, netsim._StreamPool(seed), range(first, first + n), False)
+    # r_s between stations, and exactly at an exterior station's radius
+    placed = block.radius[block.exterior]
+    placed = placed[(placed > ring_outer) & (placed <= cfg.sim_radius)]
+    radii = [ring_outer + u * exterior_width for u in picks if ring_outer + u * exterior_width > ring_outer]
+    radii += [float(placed[int(u * placed.size)]) for u in picks if placed.size]
+    radii.append(cfg.sim_radius)
+    inside = block.silencing_counts(radii)
+    for i, t in enumerate(range(first, first + n)):
+        lo, hi = block.bounds[i], block.bounds[i + 1]
+        exterior, radius = block.exterior[lo:hi], block.radius[lo:hi]
+        assert np.all(np.diff(radius[exterior]) >= 0.0)
+        n_inner = hi - lo - block.n_exterior[i]
+        for k, r_s in enumerate(radii):
+            zone = exterior & (radius <= r_s)
+            assert np.array_equal(np.flatnonzero(zone), n_inner + np.arange(inside[i, k]))
+            net = build_network(dataclasses.replace(cfg, silencing_radius=r_s), t)
+            assert np.array_equal(net.zone == netsim.Zone.SILENCING, zone)
+            assert np.array_equal(net.zone == netsim.Zone.OUTER, exterior & ~zone)
+
+
+def test_grid_equals_reference_at_a_station_radius():
+    # r_s is exactly the radius of trial 0's innermost exterior station, so
+    # that station alone is its silencing zone; under spectrum_split it is
+    # the downlink user's only server, and a zone rule that left it out
+    # would count a hole
+    cfg = base_cfg(n_trials=6, master_seed=99)
+    block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), range(1), False)
+    r_s = float(block.radius[block.exterior][0])
+    expected = assert_grid_matches(cfg, (r_s, 9000.0), POLICIES, workers=1)
+    assert expected[0, 3, 2] > 0  # spectrum_split serves a silencing-area user at r_s
 
 
 @pytest.mark.parametrize("seed", [0, 2024, 2**63 + 5, 2**64 - 1])
