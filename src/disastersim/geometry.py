@@ -9,13 +9,21 @@ Sampling is two steps. A draw consumes the generator: a point count where
 there is one, then each point's radial coordinate and angle fraction. A
 placement turns those into coordinates with no generator at all: the
 annulus inverse CDF or the radial arrival transform, then cos/sin. The
-public samplers are one draw and one placement. Placement is elementwise,
-and NumPy's sqrt, cos and sin give the same bits for an element whatever
-the length of the array it sits in (0 mismatches over 13.7M points in
-2000 random ragged concatenations, NumPy 2.4 on an AVX-512 Xeon), so the
-draws of many realizations may be concatenated and placed in one call
-with exactly the coordinates each would get on its own; netsim places a
-whole block of trials that way.
+public samplers are one draw and one placement. Consecutive uniform draws
+are one generator call: NumPy's random(a) then random(b) returns the
+numbers of random(a + b), because each double is made from the next 64-bit
+word of the stream, so n points' radius and angle fractions are one
+random(2n).
+
+Placement is elementwise, and NumPy's sqrt, cos and sin give the same bits
+for an element whatever the length of the array it sits in (0 mismatches
+over 13.7M points in 2000 random ragged concatenations, NumPy 2.4 on an
+AVX-512 Xeon), so the draws of many realizations may be concatenated and
+placed in one call with exactly the coordinates each would get on its own;
+netsim places a whole block of trials that way. sqrt is correctly rounded,
+but cos and sin are not, and theirs are the C library's: on that Xeon,
+np.cos and np.sin equal math.cos and math.sin elementwise over 1M angles in
+[0, 2 pi) (glibc 2.36). So coordinates are bit-exact per platform libm.
 """
 from __future__ import annotations
 
@@ -69,74 +77,70 @@ def _radial_radius(region: Annulus, density: float, measure: np.ndarray) -> np.n
     # r_inner out to r holds m points: density * pi * (r^2 - r_inner^2) = m.
     # Each step (division by a positive constant, adding a constant, sqrt)
     # is correctly rounded and so monotone: r never decreases where m does not.
-    return np.sqrt(region.r_inner**2 + measure / (density * math.pi))
+    r = measure / (density * math.pi)
+    r += region.r_inner**2
+    return np.sqrt(r, out=r)
 
 
-def _polar_to_xy(r: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
+def _polar_to_xy(r: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) = r * (cos, sin) of the angle 2 pi u_angle, as two arrays."""
     theta = 2.0 * math.pi * u_angle
-    pts = np.empty((r.size, 2))
-    pts[:, 0] = r * np.cos(theta)
-    pts[:, 1] = r * np.sin(theta)
-    return pts
+    x = np.cos(theta)
+    x *= r
+    y = np.sin(theta, out=theta)
+    y *= r
+    return x, y
 
 
 def _place(region: Annulus, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
-    return _polar_to_xy(_annulus_radius(region, u_radius), u_angle)
+    return np.column_stack(_polar_to_xy(_annulus_radius(region, u_radius), u_angle))
 
 
-def _no_draws() -> tuple[np.ndarray, np.ndarray]:
-    return np.empty(0), np.empty(0)
-
-
-def _draw_uniform(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and angle fractions of n uniform points, drawn in that order."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return rng.random(n), rng.random(n)
-
-
-def _draw_ppp(region: Annulus, density: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Radius and angle fractions of a homogeneous PPP on the region; draw
-    order is (count, radii, angles), and density 0 draws nothing."""
+def _check_density(density: float):
     if not 0 <= density < math.inf:
         raise ValueError(f"density must be >= 0 and finite, got {density}")
-    if density == 0.0:
-        return _no_draws()
-    count = rng.poisson(density * region.area)
-    return rng.random(count), rng.random(count)
 
 
-# Exponential gaps drawn per step of _draw_ppp_radial. The block size
-# decides how the generator stream is consumed, so it is fixed: changing it
-# changes every realization that has exterior stations.
+# Exponential gaps drawn per step of _arrivals. The block size decides how
+# the generator stream is consumed, so it is fixed: changing it changes
+# every realization that has exterior stations.
 _ARRIVAL_BLOCK = 256
 
 
-def _draw_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending cumulative arrival counts and angle fractions of a
-    homogeneous PPP on the region; _radial_radius places them."""
-    if not 0 <= density < math.inf:
-        raise ValueError(f"density must be >= 0 and finite, got {density}")
-    if density == 0.0:
-        return _no_draws()
-    target = density * region.area
-    gaps: list[np.ndarray] = []
+def _arrivals(target: float, rng: np.random.Generator) -> tuple[int, list[np.ndarray], list[np.ndarray]]:
+    """The arrivals of a unit-rate process on [0, target]: their count, and
+    their cumulative arrival counts and angle fractions in steps.
+
+    Each step draws _ARRIVAL_BLOCK exponential gaps, then as many angle
+    fractions. The counts are one sequential sum across the steps: a step's
+    first gap is added to the count before it and the step is summed in
+    place, which gives the bits of one cumsum over every gap drawn. Drawing
+    stops at the first step whose last count reaches the target, and that
+    step keeps its counts <= target, a prefix because they never decrease.
+    """
+    measure: list[np.ndarray] = []
     angles: list[np.ndarray] = []
-    total = 0.0
-    while total < target:
-        g = rng.exponential(size=_ARRIVAL_BLOCK)
-        gaps.append(g)
+    last = 0.0
+    while last < target:
+        gaps = rng.exponential(size=_ARRIVAL_BLOCK)
+        gaps[0] += last
+        np.add.accumulate(gaps, out=gaps)  # np.cumsum's sum, without its copy for out=gaps
+        measure.append(gaps)
         angles.append(rng.random(_ARRIVAL_BLOCK))
-        total += float(g.sum())
-    measure = np.cumsum(np.concatenate(gaps))
-    # a cumulative sum never decreases, so the arrivals inside are a prefix
-    inside = int(np.searchsorted(measure, target, side="right"))
-    return measure[:inside], np.concatenate(angles)[:inside]
+        last = gaps.item(-1)
+    if not measure:
+        return 0, measure, angles
+    inside = int(measure[-1].searchsorted(target, side="right"))
+    measure[-1], angles[-1] = measure[-1][:inside], angles[-1][:inside]
+    return _ARRIVAL_BLOCK * (len(measure) - 1) + inside, measure, angles
 
 
 def sample_uniform(region: Annulus, n: int, rng: np.random.Generator) -> np.ndarray:
     """n i.i.d. uniform points on the region; draw order is (radii, angles)."""
-    return _place(region, *_draw_uniform(n, rng))
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    u = rng.random(2 * n)
+    return _place(region, u[:n], u[n:])
 
 
 def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -144,9 +148,12 @@ def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.
 
     Point count is Poisson(density * area); points are i.i.d. uniform on the
     region. Draw order is fixed (count, radii, angles) so the result is fully
-    determined by the generator state.
+    determined by the generator state; density 0 draws nothing.
     """
-    return _place(region, *_draw_ppp(region, density, rng))
+    _check_density(density)
+    count = rng.poisson(density * region.area) if density > 0.0 else 0
+    u = rng.random(2 * count)
+    return _place(region, u[:count], u[count:])
 
 
 def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -154,10 +161,11 @@ def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator)
 
     Equivalent in distribution to sample_ppp, but generated as a unit-rate
     arrival process on the cumulative-area axis, consumed in fixed-size draw
-    blocks. Consequence: for two regions that differ only in r_outer and a
-    generator in the same state, the smaller region's points are a bit-exact
-    prefix of the larger region's. Interference truncation studies rely on
-    this to compare simulation radii with common random numbers.
+    blocks (_arrivals). Consequence: for two regions that differ only in
+    r_outer and a generator in the same state, the smaller region's points
+    are a bit-exact prefix of the larger region's. Interference truncation
+    studies rely on this to compare simulation radii with common random
+    numbers.
 
     The placement radius never decreases along the points, in floating
     point too: the arrival counts are a sequential cumulative sum of
@@ -165,5 +173,9 @@ def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator)
     rounded and monotone (_radial_radius). So the points within any radius,
     by that placement radius, are a prefix; netsim's silencing zone is one.
     """
-    measure, u_angle = _draw_ppp_radial(region, density, rng)
-    return _polar_to_xy(_radial_radius(region, density, measure), u_angle)
+    _check_density(density)
+    count, measure, u_angle = _arrivals(density * region.area, rng)
+    if not count:
+        return np.empty((0, 2))
+    r = _radial_radius(region, density, np.concatenate(measure))
+    return np.column_stack(_polar_to_xy(r, np.concatenate(u_angle)))

@@ -53,29 +53,36 @@ pattern in use: every station (rho > 0), all but the silencing zone
 
 Sampling is split into draws and placement (see geometry). _sample_trial
 makes every generator call of one trial's realization and places nothing;
-_place_block turns the draws of consecutive trials into stations, with one
-geometry placement call per tier and one cos/sin pass for all of them.
-Placement is elementwise, so a station gets the same coordinates whether
-its trial is placed alone (build_network, a one-trial block) or in a block.
+consecutive uniform draws are one call (the device is random(2), a tier of
+c stations random(2c), or random(3c) with the survival marks), and it
+returns the trial's tier sizes as ints with its uniforms as drawn.
+_place_block turns the draws of consecutive trials into stations with no
+walk over the trials: the tier sizes locate every inner station's
+uniforms, the exterior arrivals are placed as one array, and one cos/sin
+pass places every station. Placement is elementwise, so a station gets the
+same coordinates whether its trial is placed alone (build_network, a
+one-trial block) or in a block.
 
 estimate_grid walks its trials in blocks of _BLOCK. Per trial, it calls
-_sample_trial and draws the fading, resetting each stream once. Everything
-else runs once per block, on the block's stations concatenated into ragged
+_sample_trial and draws the fading, resetting each stream once, and the
+stations' fading lands in place in the block's arrays. Everything else
+runs once per block, on the block's stations concatenated into ragged
 arrays: it places the stations, counts each trial's silencing-zone
-stations at every radius, computes distances, path gains and the
-full-power received terms, and finds each trial's serving station as the
-first index of its segment minimum (np.minimum.reduceat). A station's
-radius is the one placement computed (_Block.radius), and the silencing
-zone at r_s is the exterior stations with radius <= r_s, the outer zone
-the rest. A trial's exterior stations are contiguous and their radius
-never decreases (see geometry._radial_radius), so its silencing zone is
-a prefix of its exterior row: one forward and one backward prefix sum
-over that row give I_sil and I_outer at every radius (_trial_sums). The
-uplink's terms do not depend on the radius, so it sums once per block for
-every radius. Every policy is then scored from the sums at once. A block
-pays a fixed scoring cost, which a larger block spreads over more trials,
-but every batched array, and so peak memory, grows with it; so the block
-is a small constant, 32 trials.
+stations at every radius, computes distances (2-D in a block without an
+aerial tier, where every altitude is 0.0 and would add +0.0), path gains
+and the full-power received terms, and finds each trial's serving station
+as the first index of its segment minimum (np.minimum.reduceat). A
+station's radius is the one placement computed (_Block.radius), and the
+silencing zone at r_s is the exterior stations with radius <= r_s, the
+outer zone the rest. A trial's exterior stations are contiguous and their
+radius never decreases (see geometry._radial_radius), so its silencing
+zone is a prefix of its exterior row: one forward and one backward prefix
+sum over that row give I_sil and I_outer at every radius (_trial_sums).
+The uplink's terms do not depend on the radius, so it sums once per block
+for every radius. Every policy is then scored from the sums at once. A
+block pays a fixed scoring cost, which a larger block spreads over more
+trials, but every batched array, and so peak memory, grows with it; so the
+block is a small constant, 32 trials.
 Each trial is its own row of every block array, so no count depends on
 the block size.
 
@@ -379,47 +386,71 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
 # Station tiers, in each trial's station order; exterior stations are in the
 # outer zone unless their radius puts them in the silencing zone.
 _DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
-_TIERS = np.arange(4, dtype=np.int8)
+_INNER_TIERS = np.arange(_EXTERIOR, dtype=np.int8)
+_FOLLOWING_UNIFORMS = np.array([2, 1, 1])  # per station of an inner tier, its uniforms after the radius fraction
 _TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)
 
 
-class _Draws(NamedTuple):
-    """One trial's station draws, before any station is placed.
+class _Plan(NamedTuple):
+    """A configuration's sampling constants, worked out once per block:
+    the Poisson means of the disaster, ring and aerial tiers (0.0 draws
+    nothing) and the exterior's expected arrival count."""
 
-    tiers holds (radial, angle fractions) per tier in station order: radius
-    fractions for the disaster, ring and aerial tiers, ascending cumulative
-    arrival counts for the exterior (see geometry).
-    """
-
-    device: tuple[np.ndarray, np.ndarray]  # radius and angle fractions of one point
-    survival: np.ndarray  # (n_disaster,) uniforms; alive where < bs_survival_prob
-    tiers: tuple
-
-    @property
-    def n_bs(self) -> int:
-        return sum(angle.size for _, angle in self.tiers)
+    means: tuple[float, float, float]
+    exterior: float
 
 
-def _sample_trial(
-    cfg: ScenarioConfig,
-    geom_rng: np.random.Generator,
-    exterior_rng: np.random.Generator,
-) -> _Draws:
-    """Every draw of one trial's realization, in the order of the module
-    docstring; _place_block turns them into stations."""
+def _plan(cfg: ScenarioConfig) -> _Plan:
     disaster_region, ring_region, exterior_region = _regions(
         cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
     )
-    device = geometry._draw_uniform(1, geom_rng)
-    disaster = geometry._draw_ppp(disaster_region, cfg.bs_density, geom_rng)
-    survival = geom_rng.random(disaster[1].size)
-    ring = geometry._draw_ppp(ring_region, cfg.bs_density, geom_rng)
-    if cfg.aerial is not None:
-        aerial = geometry._draw_ppp(disaster_region, cfg.aerial.density, geom_rng)
-    else:
-        aerial = geometry._no_draws()
-    exterior = geometry._draw_ppp_radial(exterior_region, cfg.bs_density, exterior_rng)
-    return _Draws(device, survival, (disaster, ring, aerial, exterior))
+    aerial = 0.0 if cfg.aerial is None else cfg.aerial.density
+    geometry._check_density(cfg.bs_density)
+    geometry._check_density(aerial)
+    means = (cfg.bs_density * disaster_region.area, cfg.bs_density * ring_region.area, aerial * disaster_region.area)
+    return _Plan(means, cfg.bs_density * exterior_region.area)
+
+
+class _Draws(NamedTuple):
+    """The station draws of one trial, or of consecutive trials, before any
+    station is placed; consecutive trials' draws are theirs concatenated
+    field by field.
+
+    Per trial, sizes holds the station count of each tier in station order,
+    device the device's radius and angle fractions, and tiers the geometry
+    stream's uniforms of the inner tiers as drawn: per tier its radius
+    fractions and its angle fractions, the disaster tier's followed by its
+    survival marks (alive where < bs_survival_prob). measure and angles
+    hold the exterior's ascending cumulative arrival counts and angle
+    fractions, in the steps geometry._arrivals draws them.
+    """
+
+    sizes: list[int]  # per trial: disaster, ring, aerial and exterior stations
+    device: list[np.ndarray]  # per trial: (2,)
+    tiers: list[np.ndarray]  # per trial: disaster (3n,), ring (2n,) and aerial (2n,), each if n > 0
+    measure: list[np.ndarray]
+    angles: list[np.ndarray]
+
+
+def _sample_trial(plan: _Plan, geom_rng: np.random.Generator, exterior_rng: np.random.Generator) -> _Draws:
+    """Every draw of one trial's realization, in the order of the module
+    docstring; _place_block turns them into stations.
+
+    Consecutive uniform draws are one generator call, since random(a) then
+    random(b) gives the numbers of random(a + b): the device is random(2),
+    and a tier of c stations is random(2c), random(3c) with the disaster
+    tier's survival marks.
+    """
+    device = geom_rng.random(2)
+    sizes, tiers = [], []
+    for mean, per_station in zip(plan.means, (3, 2, 2)):
+        count = geom_rng.poisson(mean) if mean > 0.0 else 0
+        sizes.append(count)
+        if count:  # random(0) draws nothing, but costs a call
+            tiers.append(geom_rng.random(per_station * count))
+    n_exterior, measure, angles = geometry._arrivals(plan.exterior, exterior_rng)
+    sizes.append(n_exterior)
+    return _Draws(sizes, [device], tiers, measure, angles)
 
 
 def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
@@ -434,11 +465,11 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     across silencing radii with common random numbers.
     """
     draws = _sample_trial(
-        cfg,
+        _plan(cfg),
         trial_rng(cfg.master_seed, trial_index, STREAM_GEOMETRY),
         trial_rng(cfg.master_seed, trial_index, STREAM_EXTERIOR),
     )
-    block = _place_block(cfg, [draws])
+    block = _place_block(cfg, draws)
     n = block.tier.size
     zone = _TIER_ZONE[block.tier]
     zone[block.exterior & (block.radius <= cfg.silencing_radius)] = Zone.SILENCING
@@ -469,9 +500,13 @@ def apply_policy(net: NetworkSnapshot, policy: SilencingPolicy) -> NetworkSnapsh
     return out
 
 
-def _distance(x, y, z, px, py, pz) -> np.ndarray:
+def _distance(x, y, px, py, z=None, pz=0.0) -> np.ndarray:
     """Elementwise 3-D distance from stations (x, y, z) to points (px, py,
-    pz), the one distance formula of the kernels and the engine."""
+    pz), the one distance formula of the kernels and the engine; 2-D when
+    z is None, which has the bits of z = pz = 0.0, because adding the
+    altitude term's +0.0 to a sum of squares changes no bit."""
+    if z is None:
+        return np.sqrt((x - px) ** 2 + (y - py) ** 2)
     return np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
 
 
@@ -509,7 +544,7 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     f = float(factors[0]) if factors.size else 1.0
     if np.any(factors != f):
         raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
-    gains = _clamped_path_gain(_distance(*net.xy[idx].T, net.altitude[idx], *point_xy, point_alt), ch)
+    gains = _clamped_path_gain(_distance(*net.xy[idx].T, *point_xy, net.altitude[idx], point_alt), ch)
     terms = np.where(sil, 1.0, net.power_factor[idx]) * net.tx_power[idx] * bs_fading[idx] * gains
     i_inner = _prefix_sums(terms[~(sil | outer)])[-1]
     i_outer = _prefix_sums(terms[outer][::-1])[-1]
@@ -563,7 +598,7 @@ def uplink_sinr(
     if candidates.size == 0:
         return math.nan, -1
 
-    d_dev = _distance(*net.xy[candidates].T, net.altitude[candidates], *net.device_xy, 0.0)
+    d_dev = _distance(*net.xy[candidates].T, *net.device_xy, net.altitude[candidates])
     pick = int(np.argmin(d_dev))
     serving = int(candidates[pick])
     signal = cfg.device_tx_power * device_fading * _clamped_path_gain(d_dev[pick], ch)
@@ -611,7 +646,7 @@ def downlink_sinr(
     if candidates.size == 0:
         return math.nan, -1
 
-    d_user = _distance(*net.xy[candidates].T, net.altitude[candidates], *user_xy, 0.0)
+    d_user = _distance(*net.xy[candidates].T, *user_xy, net.altitude[candidates])
     pick = int(np.argmin(d_user))
     serving = int(candidates[pick])
     signal = net.power_factor[serving] * net.tx_power[serving] * user_fading * _clamped_path_gain(d_user[pick], ch)
@@ -679,6 +714,7 @@ class _Block:
     device: np.ndarray  # (n_trials, 2) m
     n_inner: np.ndarray  # (n_trials,) disaster, ring and aerial stations
     n_exterior: np.ndarray  # (n_trials,)
+    flying: bool  # the configuration has an aerial tier, so altitudes may be nonzero
     up_fading: tuple | None = None  # (device link (n_trials,), stations (n,)); set by _sample_block
     down_draws: tuple | None = None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
@@ -695,6 +731,12 @@ class _Block:
         """A per-trial array with each entry repeated for every station of its trial."""
         return per_trial[self.owner]
 
+    def distance(self, px, py, pz=0.0, stations=slice(None)) -> np.ndarray:
+        """_distance from the stations to points (px, py, pz); 2-D when no
+        station flies, which has the bits of the 3-D distance at altitude 0."""
+        z = self.alt[stations] if self.flying else None
+        return _distance(self.x[stations], self.y[stations], px, py, z, pz)
+
     def silencing_counts(self, radii) -> np.ndarray:
         """(n_trials, len(radii)): how many of each trial's exterior stations
         are in the silencing zone, radius <= r_s, at each radius r_s.
@@ -707,38 +749,65 @@ class _Block:
         return np.array([np.bincount(owner[radius <= r_s], minlength=self.n_trials) for r_s in radii]).T
 
 
-def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
+def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     """The stations of consecutive trials' draws, placed as one block.
 
-    Each tier is placed by one geometry call over all the block's draws of
-    that tier and then scattered into each trial's station order; cos and
-    sin run once over the whole block. Placement is elementwise, so every
-    station gets the bits it would get placed on its own.
+    Every step runs once over the whole block, with no walk over its
+    trials: the tier sizes locate each inner station's uniforms in the
+    concatenated tier draws and its place in the block, the exterior
+    stations are placed from the concatenated arrivals, and cos and sin
+    run once over every station. Placement is elementwise, so every station
+    gets the bits it would get placed on its own.
     """
     disaster_region, ring_region, exterior_region = _regions(
         cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
     )
-    sizes = np.array([[angle.size for _, angle in d.tiers] for d in draws], dtype=np.intp)
-    bounds = np.zeros(len(draws) + 1, dtype=np.intp)
-    np.cumsum(sizes.sum(axis=1), out=bounds[1:])
-    tier = np.repeat(np.tile(_TIERS, len(draws)), sizes.ravel())
-    radial = [np.concatenate([d.tiers[k][0] for d in draws]) for k in range(len(_TIERS))]
-    r = np.empty(tier.size)
-    for k, region in ((_DISASTER, disaster_region), (_RING, ring_region), (_AERIAL, disaster_region)):
-        r[tier == k] = geometry._annulus_radius(region, radial[k])
-    exterior = tier == _EXTERIOR
-    r[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, radial[_EXTERIOR])
-    xy = geometry._polar_to_xy(r, np.concatenate([angle for d in draws for _, angle in d.tiers]))
-    x, y = xy[:, 0], xy[:, 1]
+    sizes = np.array(draws.sizes, dtype=np.intp).reshape(-1, 4)
+    n_trials = sizes.shape[0]
+    counts = sizes[:, :_EXTERIOR]
+    n_inner, n_exterior = counts.sum(axis=1), sizes[:, _EXTERIOR]
+    bounds = np.zeros(n_trials + 1, dtype=np.intp)
+    np.cumsum(n_inner + n_exterior, out=bounds[1:])
+    n = int(bounds[-1])
 
-    alive = np.ones(tier.size, dtype=bool)
-    alive[tier == _DISASTER] = np.concatenate([d.survival for d in draws]) < cfg.bs_survival_prob
-    alt, tx = np.zeros(tier.size), np.full(tier.size, cfg.bs_tx_power)
+    # The inner stations, trial by trial and tier by tier as the block
+    # orders them. A tier of c stations drew its c radius fractions, then
+    # c angle fractions and, in the disaster tier, c survival marks.
+    following = (counts * _FOLLOWING_UNIFORMS).ravel()
+    counts = counts.ravel()
+    rank = np.arange(counts.sum())
+    per_tier = np.repeat(counts, counts)
+    u_radius = rank + np.repeat(np.cumsum(following) - following, counts)  # into the concatenated tier draws
+    u_angle = u_radius + per_tier
+    inner_tier = np.repeat(np.tile(_INNER_TIERS, n_trials), counts)
+    slot = rank + np.repeat(np.cumsum(n_exterior) - n_exterior, n_inner)  # the station's place in the block
+
+    tier = np.full(n, _EXTERIOR, dtype=np.int8)
+    tier[slot] = inner_tier
+    exterior = tier == _EXTERIOR
+    radius, angle = np.empty(n), np.empty(n)
+    radius[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure))
+    angle[exterior] = _concatenate(draws.angles)
+    uniforms = _concatenate(draws.tiers)
+    fractions, ring = uniforms[u_radius], inner_tier == _RING
+    radius[slot[ring]] = geometry._annulus_radius(ring_region, fractions[ring])
+    radius[slot[~ring]] = geometry._annulus_radius(disaster_region, fractions[~ring])  # disaster and aerial
+    angle[slot] = uniforms[u_angle]
+    x, y = geometry._polar_to_xy(radius, angle)
+    u_device = np.array(draws.device)
+    device = geometry._place(disaster_region, u_device[:, 0], u_device[:, 1])
+
+    disaster = inner_tier == _DISASTER
+    alive = np.ones(n, dtype=bool)
+    alive[slot[disaster]] = uniforms[(u_angle + per_tier)[disaster]] < cfg.bs_survival_prob
+    alt, tx = np.zeros(n), np.full(n, cfg.bs_tx_power)
     if cfg.aerial is not None:
-        aerial = tier == _AERIAL
+        aerial = slot[inner_tier == _AERIAL]
         alt[aerial], tx[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
-    u_radius, u_angle = zip(*(d.device for d in draws))
-    device = geometry._place(disaster_region, np.concatenate(u_radius), np.concatenate(u_angle))
     return _Block(
         bounds=bounds,
         tier=tier,
@@ -748,10 +817,11 @@ def _place_block(cfg: ScenarioConfig, draws: list[_Draws]) -> _Block:
         tx=tx,
         alive=alive,
         exterior=exterior,
-        radius=r,
+        radius=radius,
         device=device,
-        n_inner=sizes[:, :_EXTERIOR].sum(axis=1),
-        n_exterior=sizes[:, _EXTERIOR],
+        n_inner=n_inner,
+        n_exterior=n_exterior,
+        flying=cfg.aerial is not None,
     )
 
 
@@ -759,32 +829,42 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
     """Each trial's _sample_trial draws, placed as one block, and the fading
     draws of uplink_trial and, if downlink, downlink_trial.
 
-    Each Philox stream is reset once per trial and makes the reference's
-    generator calls in order, merged where that gives the same numbers:
-    random() twice equals random(2), and exponential() then exponential(n)
-    equals exponential(n + 1). downlink_trial resets its stream at every
-    silencing radius and so draws the same user fractions and fading at
-    each; they are drawn once.
+    Each Philox stream is reset once per trial and draws the reference's
+    numbers in order. The stations' fading is written in place into the
+    block's arrays by standard_exponential(out=...), which draws the numbers
+    of exponential(size=n): exponential multiplies each by its scale, 1.0.
+    downlink_trial resets its stream at every silencing radius and so draws
+    the same user fractions and fading at each; they are drawn once.
     """
-    draws, up_g, up_h, down_u, down_g, down_h = [], [], [], [], [], []
+    plan = _plan(cfg)
+    draws = _Draws([], [], [], [], [])
+    sizes, device, tiers, measure, angles = draws
     for t in trials:
-        trial = _sample_trial(cfg, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
-        draws.append(trial)
-        n_bs = trial.n_bs
-        h = streams.get(t, STREAM_UPLINK).exponential(size=n_bs + 1)
-        up_g.append(h[0])
-        up_h.append(h[1:])
-        if downlink:
-            down = streams.get(t, STREAM_DOWNLINK)
-            down_u.append(down.random(2))  # sample_uniform: radius, then angle
-            h = down.exponential(size=n_bs + 1)
-            down_g.append(h[0])
-            down_h.append(h[1:])
-
+        trial = _sample_trial(plan, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
+        sizes += trial.sizes
+        device += trial.device
+        tiers += trial.tiers
+        measure += trial.measure
+        angles += trial.angles
     block = _place_block(cfg, draws)
-    block.up_fading = np.array(up_g), np.concatenate(up_h)
+
+    n_trials, bounds = block.n_trials, block.bounds.tolist()
+    up_g, up_h = np.empty(n_trials), np.empty(bounds[-1])
     if downlink:
-        block.down_draws = np.array(down_u).reshape(-1, 2).T, np.array(down_g), np.concatenate(down_h)
+        user_u, down_g, down_h = np.empty((n_trials, 2)), np.empty(n_trials), np.empty(bounds[-1])
+    for i, t in enumerate(trials):
+        stations = slice(bounds[i], bounds[i + 1])
+        stream = streams.get(t, STREAM_UPLINK)
+        up_g[i] = stream.exponential()
+        stream.standard_exponential(out=up_h[stations])
+        if downlink:
+            stream = streams.get(t, STREAM_DOWNLINK)
+            stream.random(out=user_u[i])  # sample_uniform: radius, then angle
+            down_g[i] = stream.exponential()
+            stream.standard_exponential(out=down_h[stations])
+    block.up_fading = up_g, up_h
+    if downlink:
+        block.down_draws = user_u.T, down_g, down_h
     return block
 
 
@@ -885,7 +965,7 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     g, h = block.up_fading
     candidates = np.flatnonzero(block.alive & ~block.exterior)
     device = block.device[block.owner[candidates]]
-    d_device = _distance(block.x[candidates], block.y[candidates], block.alt[candidates], *device.T, 0.0)
+    d_device = block.distance(*device.T, stations=candidates)
     serving = _nearest(block.bounds, candidates, d_device)
     served = serving >= 0
     if not served.any():  # every trial is a hole, and a block may have no station to index
@@ -894,7 +974,7 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     d0 = d_device[np.searchsorted(candidates, serving[served])]
     signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
     src = block.spread(np.maximum(serving, 0))  # a trial without a server is never scored
-    d = _distance(block.x, block.y, block.alt, block.x[src], block.y[src], block.alt[src])
+    d = block.distance(block.x[src], block.y[src], block.alt[src] if block.flying else 0.0)
     gains = _clamped_path_gain(d, ch)
     counts += _tally(ch, block, serving, signal, block.tx * h * gains, block.alive.copy(), inside, factors)
 
@@ -913,8 +993,9 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.n
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
-    user = geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1])
-    d = _distance(block.x, block.y, block.alt, block.spread(user[:, 0]), block.spread(user[:, 1]), 0.0)
+    user_x, user_y = geometry._polar_to_xy(geometry._annulus_radius(Annulus(cfg.ring_outer_radius, r_s), user_u[0]),
+                                           user_u[1])
+    d = block.distance(block.spread(user_x), block.spread(user_y))
     gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
     sil = block.exterior & (block.radius <= r_s)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import disaster_station, snapshot_from_stations
+from disastersim import geometry
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import (
     Annulus,
@@ -115,6 +116,47 @@ def test_radial_sampler_count_moments():
     three_sigma = 3.0 * math.sqrt(lam_area / counts.size)
     assert abs(counts.mean() - lam_area) < three_sigma
     assert abs(counts.var() - lam_area) < 0.1 * lam_area
+
+
+def first_step_seed(pairwise_above: bool) -> tuple[int, float]:
+    """The first seed whose first step of exponential gaps has a pairwise sum
+    (np.sum) above, or below, its sequential sum, and that sequential sum."""
+    for seed in range(1000):
+        gaps = np.random.Generator(np.random.Philox(seed)).exponential(size=geometry._ARRIVAL_BLOCK)
+        pairwise, sequential = float(gaps.sum()), float(np.cumsum(gaps)[-1])
+        if pairwise != sequential and (pairwise > sequential) == pairwise_above:
+            return seed, sequential
+    raise AssertionError("no seed in range(1000) separates the two sums")
+
+
+def philox_state(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return state["state"]["counter"].tolist(), state["state"]["key"].tolist(), state["buffer_pos"]
+
+
+@pytest.mark.parametrize("pairwise_above", [True, False])
+def test_arrivals_stop_on_the_sequential_sum(pairwise_above):
+    # A target between the first step's two sums: the sequential rule draws
+    # a second step exactly when the step's last cumulative count is below
+    # the target, whatever the pairwise sum says.
+    seed, step_end = first_step_seed(pairwise_above)
+    target = math.nextafter(step_end, math.inf) if pairwise_above else step_end
+    steps = 2 if step_end < target else 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    count, measure, angles = geometry._arrivals(target, rng)
+
+    fresh = np.random.Generator(np.random.Philox(seed))
+    gaps, fractions = [], []
+    for _ in range(steps):
+        gaps.append(fresh.exponential(size=geometry._ARRIVAL_BLOCK))
+        fractions.append(fresh.random(geometry._ARRIVAL_BLOCK))
+    assert philox_state(rng) == philox_state(fresh)
+    # the kept arrivals: one cumsum over every gap, cut at the target
+    cumulative = np.cumsum(np.concatenate(gaps))
+    kept = cumulative <= target
+    assert np.array_equal(np.concatenate(measure), cumulative[kept])
+    assert np.array_equal(np.concatenate(angles), np.concatenate(fractions)[kept])
+    assert count == np.count_nonzero(kept) and np.all(np.concatenate(measure) <= target)
 
 
 def test_radial_sampler_sorted_and_in_region():

@@ -284,6 +284,21 @@ def test_grid_without_terrestrial_stations():
     assert_grid_matches(aerial, (9000.0,), FOUR, workers=1)
 
 
+def test_grid_without_aerial_tier_equals_an_empty_aerial_tier():
+    # density 0 draws no aerial station, so both configurations have the
+    # same realizations; a block without an aerial tier uses 2-D distances,
+    # one with an aerial tier 3-D distances with every altitude 0.0
+    cfg = base_cfg(n_trials=netsim._BLOCK + 7, master_seed=71)
+    empty = dataclasses.replace(cfg, aerial=AerialTier(density=0.0, altitude=250.0, tx_power=0.3))
+    blocks = [netsim._sample_block(c, netsim._StreamPool(c.master_seed), range(3), True) for c in (cfg, empty)]
+    assert [block.flying for block in blocks] == [False, True]
+    radii = (4000.0, 9000.0, 14000.0)
+    grid = estimate_grid(cfg, radii, POLICIES)
+    assert grid == estimate_grid(empty, radii, POLICIES)
+    assert len({up.value for row in grid for up, _ in row}) > 2
+    assert len({down.value for row in grid for _, down in row}) > 2
+
+
 def test_block_size_changes_no_count(monkeypatch):
     # each trial is its own row of every block array, so how many trials a
     # block holds moves no count: 70 trials make 70 blocks of 1, ten of 7
@@ -584,16 +599,16 @@ def test_property_trial_sums_are_sequential_sums(trials):
     # ragged blocks with empty trials, trials without exterior stations, random
     # interferer masks and, per trial, two random silencing-zone counts
     cfg = base_cfg()
-    draws = []
+    draws = netsim._Draws([], [], [], [], [])
     for inner, exterior, _ in trials:
         n_disaster = len(inner) // 2
-        tiers = (
-            (np.full(n_disaster, 0.5), np.zeros(n_disaster)),
-            (np.full(len(inner) - n_disaster, 0.5), np.zeros(len(inner) - n_disaster)),
-            (np.empty(0), np.empty(0)),
-            (np.arange(1.0, len(exterior) + 1.0), np.zeros(len(exterior))),
-        )
-        draws.append(netsim._Draws((np.array([0.5]), np.array([0.5])), np.zeros(n_disaster), tiers))
+        n_ring = len(inner) - n_disaster
+        draws.sizes.extend((n_disaster, n_ring, 0, len(exterior)))
+        draws.device.append(np.array([0.5, 0.5]))
+        # radius fractions, angle fractions (and survival marks) per tier
+        draws.tiers.extend([np.repeat([0.5, 0.0, 0.0], n_disaster), np.repeat([0.5, 0.0], n_ring)])
+        draws.measure.append(np.arange(1.0, len(exterior) + 1.0))
+        draws.angles.append(np.zeros(len(exterior)))
     block = netsim._place_block(cfg, draws)
     stations = [inner + exterior for inner, exterior, _ in trials]
     terms = np.array([term for trial in stations for term, _ in trial])

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     disaster_station,
@@ -12,6 +14,7 @@ from conftest import (
     silencing_station,
     snapshot_from_stations,
 )
+from disastersim import netsim
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.netsim import (
     STREAM_UPLINK,
@@ -365,6 +368,24 @@ def test_uplink_aerial_uses_3d_distance():
     assert serving == 0
     expected = (1.0 * path_gain(100.0, cfg.channel)) / (1.0 * path_gain(300.0, cfg.channel))
     assert sinr == pytest.approx(expected, rel=1e-12)
+
+
+coordinate = st.floats(-3e4, 3e4, allow_subnormal=True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(coordinate, coordinate, st.floats(0.0, 1e3)), min_size=1, max_size=20),
+       coordinate, coordinate, st.floats(0.0, 1e3))
+def test_property_distance_without_altitudes_is_the_3d_formula(stations, px, py, pz):
+    # the 3-D formula with every altitude 0.0 adds (0.0 - 0.0)^2 = +0.0 to
+    # a sum of squares, which changes no bit, so the 2-D distance has its
+    # bits; with altitudes, the 3-D distance is the formula's
+    x, y, z = (np.array(column) for column in zip(*stations))
+    zeros = np.zeros_like(z)
+    flat = np.sqrt((x - px) ** 2 + (y - py) ** 2 + (zeros - 0.0) ** 2)
+    assert np.array_equal(netsim._distance(x, y, px, py), flat)
+    assert np.array_equal(netsim._distance(x, y, px, py, zeros, 0.0), flat)
+    assert np.array_equal(netsim._distance(x, y, px, py, z, pz), np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2))
 
 
 def test_uplink_aerial_can_serve_with_3d_range():
