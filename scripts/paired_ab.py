@@ -1,26 +1,27 @@
 #!/usr/bin/env python3
 """Paired, same-process A/B timing of the silencing engine on two source trees.
 
-Loads the `disastersim` package of two checkouts side by side, under the
-distinct names `ab_base` and `ab_head`, and times the two fig5 engine calls
-that the benchmark's silencing workloads make, with 1 worker:
+Loads the `disastersim` package of another checkout (`--base`) and of this
+one side by side, under the distinct names `ab_base` and `ab_head`, and
+times the two fig5 engine calls that the benchmark's silencing workloads
+make, with 1 worker:
 
   run    netsim.estimate_grid at the scenario's silencing radius and its
          four policies (what `silencing-run` computes), 100 trials
   sweep  planner.sweep over the scenario's 6 x 3 (rho, radius) grid (what
          `silencing-sweep` computes), 50 trials
 
-Each pair times both trees once, in alternating order, after warm-up
-calls. For each call the script prints each tree's median time, the
-quartiles and median of the paired ratio head / base, and in how many
-pairs head was faster. It also checks that both trees return equal
+Each of 40 pairs times both trees once, in alternating order, after 3
+warm-up calls per tree. For each call the script prints each tree's median
+time, the quartiles and median of the paired ratio head / base, and in how
+many pairs head was faster. It also checks that both trees return equal
 results. Only the standard library and the package's own dependencies are
 used.
 
 Example, against the parent commit exported next to this checkout:
 
     git archive --prefix=base/ HEAD~1 | tar -x -C /tmp
-    python3 scripts/paired_ab.py --base /tmp/base --pairs 40 --cpu 1
+    python3 scripts/paired_ab.py --base /tmp/base --cpu 1
 """
 from __future__ import annotations
 
@@ -37,6 +38,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 FIG5 = "scenarios/paper_fig5.yaml"
 CALLS = {"run": 100, "sweep": 50}  # trials per call, as in the benchmark's workloads
+PAIRS = 40  # timed pairs per call
+WARMUP = 3  # untimed calls per tree before the pairs
 
 
 def load_tree(root: Path, name: str):
@@ -83,26 +86,20 @@ def timed(call) -> float:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="root of the baseline checkout")
-    parser.add_argument("--head", type=Path, default=ROOT, help="root of the changed checkout (default: this one)")
-    parser.add_argument("--pairs", type=int, default=40, help="timed pairs per call (default 40)")
-    parser.add_argument("--warmup", type=int, default=3, help="untimed calls per tree first (default 3)")
-    parser.add_argument("--calls", nargs="+", choices=sorted(CALLS), default=sorted(CALLS))
     parser.add_argument("--cpu", type=int, help="pin this process to one CPU")
     args = parser.parse_args(argv)
-    if args.pairs < 4:
-        parser.error("--pairs must be at least 4 for quartiles")
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
 
-    trees = {"base": engine_calls(args.base.resolve(), "ab_base"), "head": engine_calls(args.head.resolve(), "ab_head")}
-    print(f"base {args.base.resolve()}\nhead {args.head.resolve()}\n{args.pairs} pairs, order alternating")
-    for call in args.calls:
+    trees = {"base": engine_calls(args.base.resolve(), "ab_base"), "head": engine_calls(ROOT, "ab_head")}
+    print(f"base {args.base.resolve()}\nhead {ROOT}\n{PAIRS} pairs, order alternating")
+    for call in CALLS:
         base, head = trees["base"][call], trees["head"][call]
         same = plain(base()) == plain(head())
-        for _ in range(args.warmup):
+        for _ in range(WARMUP):
             base(), head()
         times = {"base": [], "head": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
                 times[side].append(timed(trees[side][call]))
@@ -112,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"{call:5s} ({CALLS[call]} trials): base median {statistics.median(times['base']) * 1e3:.2f} ms, "
             f"head median {statistics.median(times['head']) * 1e3:.2f} ms; head/base ratio median {median:.3f} "
-            f"(q1 {q1:.3f}, q3 {q3:.3f}); head faster in {wins}/{args.pairs} pairs; "
+            f"(q1 {q1:.3f}, q3 {q3:.3f}); head faster in {wins}/{PAIRS} pairs; "
             f"results {'equal' if same else 'DIFFER'}"
         )
     return 0

@@ -92,8 +92,9 @@ def _polar_to_xy(r: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.nda
     return x, y
 
 
-def _place(region: Annulus, u_radius: np.ndarray, u_angle: np.ndarray) -> np.ndarray:
-    return np.column_stack(_polar_to_xy(_annulus_radius(region, u_radius), u_angle))
+def _place(region: Annulus, u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) of the points with these radius and angle fractions on the region."""
+    return _polar_to_xy(_annulus_radius(region, u_radius), u_angle)
 
 
 def _check_density(density: float):
@@ -140,7 +141,7 @@ def sample_uniform(region: Annulus, n: int, rng: np.random.Generator) -> np.ndar
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     u = rng.random(2 * n)
-    return _place(region, u[:n], u[n:])
+    return np.column_stack(_place(region, u[:n], u[n:]))
 
 
 def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
@@ -153,7 +154,7 @@ def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.
     _check_density(density)
     count = rng.poisson(density * region.area) if density > 0.0 else 0
     u = rng.random(2 * count)
-    return _place(region, u[:count], u[count:])
+    return np.column_stack(_place(region, u[:count], u[count:]))
 
 
 def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:

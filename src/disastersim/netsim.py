@@ -387,7 +387,7 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
 # outer zone unless their radius puts them in the silencing zone.
 _DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
 _INNER_TIERS = np.arange(_EXTERIOR, dtype=np.int8)
-_FOLLOWING_UNIFORMS = np.array([2, 1, 1])  # per station of an inner tier, its uniforms after the radius fraction
+_UNIFORMS_PER_STATION = (3, 2, 2)  # per station of an inner tier: radius and angle fractions, disaster survival mark
 _TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)
 
 
@@ -443,7 +443,7 @@ def _sample_trial(plan: _Plan, geom_rng: np.random.Generator, exterior_rng: np.r
     """
     device = geom_rng.random(2)
     sizes, tiers = [], []
-    for mean, per_station in zip(plan.means, (3, 2, 2)):
+    for mean, per_station in zip(plan.means, _UNIFORMS_PER_STATION):
         count = geom_rng.poisson(mean) if mean > 0.0 else 0
         sizes.append(count)
         if count:  # random(0) draws nothing, but costs a call
@@ -731,11 +731,19 @@ class _Block:
         """A per-trial array with each entry repeated for every station of its trial."""
         return per_trial[self.owner]
 
-    def distance(self, px, py, pz=0.0, stations=slice(None)) -> np.ndarray:
-        """_distance from the stations to points (px, py, pz); 2-D when no
+    def distance(self, px, py, stations=slice(None)) -> np.ndarray:
+        """_distance from the stations to ground points (px, py); 2-D when no
         station flies, which has the bits of the 3-D distance at altitude 0."""
         z = self.alt[stations] if self.flying else None
-        return _distance(self.x[stations], self.y[stations], px, py, z, pz)
+        return _distance(self.x[stations], self.y[stations], px, py, z)
+
+    def distance_to(self, src: np.ndarray) -> np.ndarray:
+        """_distance from each station i to station src[i]; 2-D when no
+        station flies, as distance."""
+        x, y = self.x, self.y
+        if not self.flying:
+            return _distance(x, y, x[src], y[src])
+        return _distance(x, y, x[src], y[src], self.alt, self.alt[src])
 
     def silencing_counts(self, radii) -> np.ndarray:
         """(n_trials, len(radii)): how many of each trial's exterior stations
@@ -777,7 +785,7 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     # The inner stations, trial by trial and tier by tier as the block
     # orders them. A tier of c stations drew its c radius fractions, then
     # c angle fractions and, in the disaster tier, c survival marks.
-    following = (counts * _FOLLOWING_UNIFORMS).ravel()
+    following = (counts * (np.array(_UNIFORMS_PER_STATION) - 1)).ravel()  # uniforms after the radius fractions
     counts = counts.ravel()
     rank = np.arange(counts.sum())
     per_tier = np.repeat(counts, counts)
@@ -799,7 +807,7 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     angle[slot] = uniforms[u_angle]
     x, y = geometry._polar_to_xy(radius, angle)
     u_device = np.array(draws.device)
-    device = geometry._place(disaster_region, u_device[:, 0], u_device[:, 1])
+    device = np.column_stack(geometry._place(disaster_region, u_device[:, 0], u_device[:, 1]))
 
     disaster = inner_tier == _DISASTER
     alive = np.ones(n, dtype=bool)
@@ -974,8 +982,7 @@ def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factor
     d0 = d_device[np.searchsorted(candidates, serving[served])]
     signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
     src = block.spread(np.maximum(serving, 0))  # a trial without a server is never scored
-    d = block.distance(block.x[src], block.y[src], block.alt[src] if block.flying else 0.0)
-    gains = _clamped_path_gain(d, ch)
+    gains = _clamped_path_gain(block.distance_to(src), ch)
     counts += _tally(ch, block, serving, signal, block.tx * h * gains, block.alive.copy(), inside, factors)
 
 
@@ -993,8 +1000,7 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.n
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
-    user_x, user_y = geometry._polar_to_xy(geometry._annulus_radius(Annulus(cfg.ring_outer_radius, r_s), user_u[0]),
-                                           user_u[1])
+    user_x, user_y = geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1])
     d = block.distance(block.spread(user_x), block.spread(user_y))
     gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
