@@ -13,10 +13,17 @@ make, with 1 worker:
 
 Each of 40 pairs times both trees once, in alternating order, after 3
 warm-up calls per tree. For each call the script prints each tree's median
-time, the quartiles and median of the paired ratio head / base, and in how
-many pairs head was faster. It also checks that both trees return equal
+time, the quartiles and median of the paired ratio head / base, in how many
+pairs head was faster, and each tree's median minor page faults per call
+(getrusage ru_minflt). It also checks that both trees return equal
 results. Only the standard library and the package's own dependencies are
 used.
+
+Both trees run in one process, so a change that acts on the whole process
+cannot show here. The engine's allocator setting (netsim._keep_freed_heap)
+is one: whichever tree runs first sets it for both, so the two trees fault
+alike and time alike. Compare such a change with one process per tree, as
+the benchmark does (perfbench/run.py).
 
 Example, against the parent commit exported next to this checkout:
 
@@ -30,6 +37,7 @@ import dataclasses
 import importlib
 import importlib.util
 import os
+import resource
 import statistics
 import sys
 import time
@@ -77,10 +85,12 @@ def plain(result):
     return result
 
 
-def timed(call) -> float:
+def timed(call) -> tuple[float, int]:
+    """Seconds and minor page faults that one call takes."""
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     call()
-    return time.perf_counter() - t0
+    return time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -98,11 +108,13 @@ def main(argv: list[str] | None = None) -> int:
         same = plain(base()) == plain(head())
         for _ in range(WARMUP):
             base(), head()
-        times = {"base": [], "head": []}
+        times, faults = {"base": [], "head": []}, {"base": [], "head": []}
         for i in range(PAIRS):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             for side in order:
-                times[side].append(timed(trees[side][call]))
+                seconds, minflt = timed(trees[side][call])
+                times[side].append(seconds)
+                faults[side].append(minflt)
         ratios = [h / b for b, h in zip(times["base"], times["head"])]
         wins = sum(h < b for b, h in zip(times["base"], times["head"]))
         q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -110,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{call:5s} ({CALLS[call]} trials): base median {statistics.median(times['base']) * 1e3:.2f} ms, "
             f"head median {statistics.median(times['head']) * 1e3:.2f} ms; head/base ratio median {median:.3f} "
             f"(q1 {q1:.3f}, q3 {q3:.3f}); head faster in {wins}/{PAIRS} pairs; "
-            f"results {'equal' if same else 'DIFFER'}"
+            f"minor faults per call, median: base {statistics.median(faults['base']):.0f}, "
+            f"head {statistics.median(faults['head']):.0f}; results {'equal' if same else 'DIFFER'}"
         )
     return 0
 

@@ -84,7 +84,9 @@ block pays a fixed scoring cost, which a larger block spreads over more
 trials, but every batched array, and so peak memory, grows with it; so the
 block is a small constant, 32 trials.
 Each trial is its own row of every block array, so no count depends on
-the block size.
+the block size. The first _count_chunk call in a process tells the C
+allocator to keep the heap it frees (_keep_freed_heap), so later blocks
+and calls reuse their pages instead of faulting them back in.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
@@ -98,6 +100,7 @@ multiprocessing.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from functools import cached_property, lru_cache
@@ -692,6 +695,37 @@ _BLOCK = 32
 # (README, "Determinism").
 _TRIALS_PER_WORKER = 64
 
+# glibc's mallopt parameters, and its largest M_MMAP_THRESHOLD on 64-bit.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+_heap_kept = False
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap that the engine frees in this process, once per process.
+
+    A fig5 block frees about 1 MB of NumPy temporaries. glibc hands the top
+    of the heap back to the kernel (trimming), and the next block faults it
+    back in page by page: about 700-900 minor faults per steady 50-trial
+    sweep or 100-trial run call (README, "Determinism"). So mallopt fixes
+    M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD above it. Both are set,
+    because setting either turns off glibc's dynamic mmap threshold: the
+    trim threshold alone would keep mmap at 128 KiB, and every larger array
+    would be mapped and unmapped each time it is made. The process then
+    keeps its peak heap until it exits. Where the C library has no mallopt,
+    nothing changes; no output depends on it.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):  # no mallopt (macOS), or no handle for CDLL(None) (Windows)
+        return
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
 
 @dataclass
 class _Block:
@@ -1035,6 +1069,7 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, downlink: bool, start: in
     up_factors = np.array([_band_factors(p, downlink=False)[1] for p in policies])
     down_factors = [_band_factors(p, downlink=True) for p in policies]
     streams = _StreamPool(cfg.master_seed)
+    _keep_freed_heap()
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_tally)
         for first in range(start, stop, _BLOCK):
             trials = range(first, min(first + _BLOCK, stop))

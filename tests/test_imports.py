@@ -98,6 +98,35 @@ def test_a_pooled_run_loads_the_process_pool(tmp_path):
     assert stages["main"] == sorted(ENGINE + POOL)
 
 
+MALLOPT_CHILD = """
+import ctypes, dataclasses, json, sys
+calls, cdll = [], ctypes.CDLL
+class Libc:
+    def mallopt(self, param, value):
+        calls.append([param, value])
+        return 1
+ctypes.CDLL = lambda name, *args, **kwargs: Libc() if name is None else cdll(name, *args, **kwargs)
+stages = {}
+from disastersim import netsim
+from disastersim.scenario import load_scenario
+spec = load_scenario(sys.argv[1]).silencing
+stages["loaded"] = list(calls)
+cfg = dataclasses.replace(spec.config, n_trials=2)
+for call in ("first", "second"):
+    netsim.estimate_grid(cfg, (cfg.silencing_radius,), spec.policies)
+    stages[call] = list(calls)
+print(json.dumps(stages))
+"""
+
+
+def test_only_the_first_engine_call_sets_the_allocator():
+    # importing netsim and loading a scenario leave the C allocator alone;
+    # the first engine call fixes M_MMAP_THRESHOLD (-3) and M_TRIM_THRESHOLD (-1) once
+    stages = json.loads(run_fresh(MALLOPT_CHILD, str(SCENARIOS / "paper_fig5.yaml")))
+    assert stages["loaded"] == []
+    assert stages["first"] == stages["second"] == [[-3, 32 << 20], [-1, 64 << 20]]
+
+
 def test_netsim_process_pool_is_the_standard_one():
     import concurrent.futures
 

@@ -1,6 +1,9 @@
+import ctypes
 import dataclasses
 import math
+from pathlib import Path
 import pickle
+import platform
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from conftest import (
     silencing_station,
     snapshot_from_stations,
 )
-from disastersim import netsim
+from disastersim import netsim, planner
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.netsim import (
     STREAM_UPLINK,
@@ -34,6 +37,7 @@ from disastersim.netsim import (
     uplink_sinr,
     uplink_trial,
 )
+from disastersim.scenario import load_scenario
 
 UNIT_CHANNEL = ChannelParams(path_loss_exponent=4.0, sinr_threshold=0.1, noise_power=0.0)
 
@@ -648,3 +652,64 @@ def test_downlink_estimate_worker_invariance():
     a = estimate_silencing_area_coverage(cfg, SilencingPolicy.partial(0.4))
     b = estimate_silencing_area_coverage(cfg, SilencingPolicy.partial(0.4), workers=4)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# allocator: the engine keeps the heap it frees (_keep_freed_heap)
+# ---------------------------------------------------------------------------
+
+FIG5 = Path(__file__).resolve().parent.parent / "scenarios" / "paper_fig5.yaml"
+
+
+def glibc_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, TypeError):
+        return False
+    return platform.libc_ver()[0] == "glibc"
+
+
+def median_faults_per_call(call, warmup: int = 3, calls: int = 5) -> float:
+    resource = pytest.importorskip("resource")
+    for _ in range(warmup):
+        call()
+    faults = []
+    for _ in range(calls):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        call()
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return float(np.median(faults))
+
+
+@pytest.mark.skipif(not glibc_mallopt(), reason="the thresholds are glibc's mallopt parameters")
+def test_steady_state_engine_calls_do_not_fault_their_heap_back_in():
+    # With glibc's default trimming, each fig5 block faults its ~1 MB of
+    # temporaries back in: 759-920 minor faults per 50-trial sweep call, and
+    # 6.7-9.9k per 300-trial call at a 40-km truncation radius, whose arrays
+    # (~512 KB) outgrow the default 128 KiB mmap threshold. Setting only
+    # M_TRIM_THRESHOLD freezes that threshold, and the 40-km call then maps
+    # and unmaps its arrays: 24-28k faults per call.
+    spec = load_scenario(FIG5).silencing
+    sweep_cfg = dataclasses.replace(spec.config, n_trials=50)
+    far_cfg = dataclasses.replace(spec.config, n_trials=300, sim_radius=40000.0)
+    assert median_faults_per_call(lambda: planner.sweep(sweep_cfg, spec.sweep.grid, spec.sweep.weights)) < 200
+    assert median_faults_per_call(
+        lambda: netsim.estimate_grid(far_cfg, (far_cfg.silencing_radius,), spec.policies)) < 1500
+
+
+def test_engine_without_mallopt_gives_the_same_grid(monkeypatch):
+    cfg = unit_cfg(n_trials=40, silencing_radius=9000.0)
+    radii, policies = (6000.0, 9000.0), (SilencingPolicy.none(), SilencingPolicy.partial(0.4))
+    expected = netsim.estimate_grid(cfg, radii, policies)
+    opened, cdll = [], ctypes.CDLL
+
+    def without_mallopt(name, *args, **kwargs):
+        if name is not None:
+            return cdll(name, *args, **kwargs)
+        opened.append(name)
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", without_mallopt)
+    monkeypatch.setattr(netsim, "_heap_kept", False)  # as in a process that has not run the engine yet
+    assert netsim.estimate_grid(cfg, radii, policies) == expected
+    assert opened == [None]
