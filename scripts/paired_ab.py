@@ -16,8 +16,8 @@ warm-up calls per tree. For each call the script prints each tree's median
 time, the quartiles and median of the paired ratio head / base, in how many
 pairs head was faster, and each tree's median minor page faults per call
 (getrusage ru_minflt). It also checks that both trees return equal
-results. Only the standard library and the package's own dependencies are
-used.
+results, and exits 1 if they differ. Only the standard library and the
+package's own dependencies are used.
 
 Both trees run in one process, so a change that acts on the whole process
 cannot show here. The engine's allocator setting (netsim._keep_freed_heap)
@@ -103,9 +103,11 @@ def main(argv: list[str] | None = None) -> int:
 
     trees = {"base": engine_calls(args.base.resolve(), "ab_base"), "head": engine_calls(ROOT, "ab_head")}
     print(f"base {args.base.resolve()}\nhead {ROOT}\n{PAIRS} pairs, order alternating")
+    differ = False
     for call in CALLS:
         base, head = trees["base"][call], trees["head"][call]
         same = plain(base()) == plain(head())
+        differ |= not same
         for _ in range(WARMUP):
             base(), head()
         times, faults = {"base": [], "head": []}, {"base": [], "head": []}
@@ -125,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
             f"minor faults per call, median: base {statistics.median(faults['base']):.0f}, "
             f"head {statistics.median(faults['head']):.0f}; results {'equal' if same else 'DIFFER'}"
         )
-    return 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ _MODULE_EXPORTS = {
     "planner": ("SweepGrid", "TradeoffWeights", "optimize_tradeoff", "sweep", "utility"),
     "satwet": (
         "ChargingModel", "SatWetParams", "charge_curve", "charging_time", "pass_average_power",
-        "slant_distance", "zenith_harvested_power",
+        "zenith_harvested_power",
     ),
 }
 _EXPORTS = {name: module for module, names in _MODULE_EXPORTS.items() for name in names}

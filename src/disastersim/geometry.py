@@ -8,12 +8,12 @@ the generation order, deterministic for a fixed generator state.
 Sampling is two steps. A draw consumes the generator: a point count where
 there is one, then each point's radial coordinate and angle fraction. A
 placement turns those into coordinates with no generator at all: the
-annulus inverse CDF or the radial arrival transform, then cos/sin. The
-public samplers are one draw and one placement. Consecutive uniform draws
-are one generator call: NumPy's random(a) then random(b) returns the
-numbers of random(a + b), because each double is made from the next 64-bit
-word of the stream, so n points' radius and angle fractions are one
-random(2n).
+annulus inverse CDF or the radial arrival transform, then cos/sin.
+sample_ppp is one draw and one placement; netsim makes its own draws and
+places them with the same helpers. Consecutive uniform draws are one
+generator call: NumPy's random(a) then random(b) returns the numbers of
+random(a + b), because each double is made from the next 64-bit word of
+the stream, so n points' radius and angle fractions are one random(2n).
 
 Placement is elementwise, and NumPy's sqrt, cos and sin give the same bits
 for an element whatever the length of the array it sits in (0 mismatches
@@ -35,9 +35,7 @@ import numpy as np
 __all__ = [
     "Annulus",
     "disk",
-    "sample_uniform",
     "sample_ppp",
-    "sample_ppp_radial",
 ]
 
 
@@ -97,11 +95,6 @@ def _place(region: Annulus, u_radius: np.ndarray, u_angle: np.ndarray) -> tuple[
     return _polar_to_xy(_annulus_radius(region, u_radius), u_angle)
 
 
-def _check_density(density: float):
-    if not 0 <= density < math.inf:
-        raise ValueError(f"density must be >= 0 and finite, got {density}")
-
-
 # Exponential gaps drawn per step of _arrivals. The block size decides how
 # the generator stream is consumed, so it is fixed: changing it changes
 # every realization that has exterior stations.
@@ -118,6 +111,9 @@ def _arrivals(target: float, rng: np.random.Generator) -> tuple[int, list[np.nda
     place, which gives the bits of one cumsum over every gap drawn. Drawing
     stops at the first step whose last count reaches the target, and that
     step keeps its counts <= target, a prefix because they never decrease.
+    So a larger target, from the same generator state, keeps these arrivals
+    and appends more: the ascending-radius construction (Haenggi 2012) that
+    makes truncation radii comparable under common random numbers.
     """
     measure: list[np.ndarray] = []
     angles: list[np.ndarray] = []
@@ -136,14 +132,6 @@ def _arrivals(target: float, rng: np.random.Generator) -> tuple[int, list[np.nda
     return _ARRIVAL_BLOCK * (len(measure) - 1) + inside, measure, angles
 
 
-def sample_uniform(region: Annulus, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n i.i.d. uniform points on the region; draw order is (radii, angles)."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    u = rng.random(2 * n)
-    return np.column_stack(_place(region, u[:n], u[n:]))
-
-
 def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
     """Sample a homogeneous PPP on the region.
 
@@ -151,32 +139,8 @@ def sample_ppp(region: Annulus, density: float, rng: np.random.Generator) -> np.
     region. Draw order is fixed (count, radii, angles) so the result is fully
     determined by the generator state; density 0 draws nothing.
     """
-    _check_density(density)
+    if not 0 <= density < math.inf:
+        raise ValueError(f"density must be >= 0 and finite, got {density}")
     count = rng.poisson(density * region.area) if density > 0.0 else 0
     u = rng.random(2 * count)
     return np.column_stack(_place(region, u[:count], u[count:]))
-
-
-def sample_ppp_radial(region: Annulus, density: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample a homogeneous PPP on the region, points in ascending-radius order.
-
-    Equivalent in distribution to sample_ppp, but generated as a unit-rate
-    arrival process on the cumulative-area axis, consumed in fixed-size draw
-    blocks (_arrivals). Consequence: for two regions that differ only in
-    r_outer and a generator in the same state, the smaller region's points
-    are a bit-exact prefix of the larger region's. Interference truncation
-    studies rely on this to compare simulation radii with common random
-    numbers.
-
-    The placement radius never decreases along the points, in floating
-    point too: the arrival counts are a sequential cumulative sum of
-    non-negative gaps, and each step from count to radius is correctly
-    rounded and monotone (_radial_radius). So the points within any radius,
-    by that placement radius, are a prefix; netsim's silencing zone is one.
-    """
-    _check_density(density)
-    count, measure, u_angle = _arrivals(density * region.area, rng)
-    if not count:
-        return np.empty((0, 2))
-    r = _radial_radius(region, density, np.concatenate(measure))
-    return np.column_stack(_polar_to_xy(r, np.concatenate(u_angle)))

@@ -17,7 +17,6 @@ __all__ = [
     "SatWetParams",
     "ChargingModel",
     "ChargeCurveRow",
-    "slant_distance",
     "zenith_harvested_power",
     "pass_average_power",
     "charging_time",
@@ -64,19 +63,6 @@ class ChargingModel:
             raise ValueError(f"energy_per_bit must be > 0 and finite, got {self.energy_per_bit}")
         if not 0.0 <= self.payload_bits < math.inf:
             raise ValueError(f"payload_bits must be >= 0 and finite, got {self.payload_bits}")
-
-
-def slant_distance(altitude: float, elevation_deg: float, earth_radius: float = EARTH_RADIUS) -> float:
-    """Ground-station-to-satellite range for a given elevation angle.
-
-    d = -R sin(e) + sqrt(R^2 sin^2(e) + h^2 + 2 R h); equals the altitude at
-    zenith and sqrt(h^2 + 2 R h) at the horizon.
-    """
-    if not 0.0 <= elevation_deg <= 90.0:
-        raise ValueError(f"elevation must be in [0, 90] degrees, got {elevation_deg}")
-    sin_e = math.sin(math.radians(elevation_deg))
-    r = earth_radius
-    return -r * sin_e + math.sqrt(r * r * sin_e * sin_e + altitude * altitude + 2.0 * r * altitude)
 
 
 def zenith_harvested_power(p: SatWetParams) -> float:

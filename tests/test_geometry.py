@@ -6,15 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import disaster_station, snapshot_from_stations
-from disastersim import geometry
+from disastersim import geometry, netsim
 from disastersim.channel import ChannelParams, path_gain
-from disastersim.geometry import (
-    Annulus,
-    disk,
-    sample_ppp,
-    sample_ppp_radial,
-    sample_uniform,
-)
+from disastersim.geometry import Annulus, disk, sample_ppp
 from disastersim.netsim import Band, ScenarioConfig, downlink_sinr
 
 
@@ -52,12 +46,10 @@ def test_sample_ppp_zero_density_empty():
 
 
 def test_sample_ppp_negative_density_rejected():
-    # NaN passes a bare `density < 0` check, and an infinite density would
-    # never finish drawing the radial process
-    for sampler in (sample_ppp, sample_ppp_radial):
-        for density in (-1e-6, math.nan, math.inf):
-            with pytest.raises(ValueError, match="density must be"):
-                sampler(Annulus(1.0, 100.0), density, np.random.default_rng(0))
+    # NaN passes a bare `density < 0` check
+    for density in (-1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="density must be"):
+            sample_ppp(Annulus(1.0, 100.0), density, np.random.default_rng(0))
 
 
 def test_sample_ppp_count_moments():
@@ -91,7 +83,7 @@ def test_sample_ppp_deterministic_for_fixed_state():
 
 def test_samplers_draw_count_then_radii_then_angles():
     # the documented draw order as separate raw generator calls: the
-    # samplers' one call for all the uniforms gives the same numbers and
+    # sampler's one call for all the uniforms gives the same numbers and
     # leaves the generator in the same state
     region = Annulus(100.0, 900.0)
     rng, raw = np.random.default_rng(5), np.random.default_rng(5)
@@ -101,18 +93,26 @@ def test_samplers_draw_count_then_radii_then_angles():
         theta = 2.0 * math.pi * u_angle
         return np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
-    assert np.array_equal(sample_uniform(region, 7, rng), place(raw.random(7), raw.random(7)))
     ppp = sample_ppp(region, 2e-4, rng)
     count = raw.poisson(2e-4 * region.area)
     assert count > 100 and np.array_equal(ppp, place(raw.random(count), raw.random(count)))
     assert rng.random() == raw.random()
 
 
+def exterior_blocks(cfg: ScenarioConfig, n_trials: int, per_block: int = 500):
+    """The engine's blocks over trials [0, n_trials), per_block trials each,
+    so a long run never holds every station at once."""
+    streams = netsim._StreamPool(cfg.master_seed)
+    for first in range(0, n_trials, per_block):
+        yield netsim._sample_block(cfg, streams, range(first, min(first + per_block, n_trials)), False)
+
+
 def test_radial_sampler_count_moments():
-    region = Annulus(2600.0, 20000.0)
-    lam_area = 4e-7 * region.area
-    rng = np.random.default_rng(4321)
-    counts = np.array([sample_ppp_radial(region, 4e-7, rng).shape[0] for _ in range(4000)])
+    # the engine's exterior stations on the annulus (ring edge, sim_radius)
+    # are a Poisson count
+    cfg = ScenarioConfig(bs_density=4e-7, sim_radius=20000.0, master_seed=4321)
+    lam_area = 4e-7 * Annulus(cfg.ring_outer_radius, cfg.sim_radius).area
+    counts = np.concatenate([block.n_exterior for block in exterior_blocks(cfg, 4000)])
     three_sigma = 3.0 * math.sqrt(lam_area / counts.size)
     assert abs(counts.mean() - lam_area) < three_sigma
     assert abs(counts.var() - lam_area) < 0.1 * lam_area
@@ -160,11 +160,16 @@ def test_arrivals_stop_on_the_sequential_sum(pairwise_above):
 
 
 def test_radial_sampler_sorted_and_in_region():
-    region = Annulus(2600.0, 20000.0)
-    pts = sample_ppp_radial(region, 4e-7, np.random.default_rng(5))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    assert np.all(np.diff(r) >= 0.0)
-    assert np.all((r >= region.r_inner) & (r <= region.r_outer))
+    # each trial's exterior stations, in the engine's arrays, lie on the
+    # annulus (ring edge, sim_radius) in ascending placement radius
+    cfg = ScenarioConfig(bs_density=4e-7, sim_radius=20000.0, master_seed=5)
+    block, = exterior_blocks(cfg, 50)
+    assert block.n_exterior.sum() > 1000
+    for i in range(50):
+        lo, hi = block.bounds[i], block.bounds[i + 1]
+        r = block.radius[lo:hi][block.exterior[lo:hi]]
+        assert np.all(np.diff(r) >= 0.0)
+        assert np.all((r >= cfg.ring_outer_radius) & (r <= cfg.sim_radius))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -173,41 +178,43 @@ def test_radial_sampler_sorted_and_in_region():
     small_width=st.floats(1.0, 20000.0),
     extra_width=st.floats(1.0, 30000.0),
     density=st.floats(1e-8, 2e-6),
-    seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**64 - 1),
 )
 @example(r_inner=2600.0, small_width=17400.0, extra_width=20000.0, density=4e-7, seed=17)
 def test_radial_sampler_nested_truncation_prefix(r_inner, small_width, extra_width, density, seed):
-    # Growing r_outer with an identical generator state appends points
+    # The arrivals the engine places its exterior from: growing r_outer with
+    # an identical generator state appends arrivals, and so placement radii,
     # without disturbing the shared prefix.
-    r_small = r_inner + small_width
-    r_big = r_small + extra_width
-    small = sample_ppp_radial(Annulus(r_inner, r_small), density, np.random.default_rng(seed))
-    big = sample_ppp_radial(Annulus(r_inner, r_big), density, np.random.default_rng(seed))
-    assert big.shape[0] >= small.shape[0]
-    assert np.array_equal(big[: small.shape[0]], small)
+    small_region = Annulus(r_inner, r_inner + small_width)
+    big_region = Annulus(r_inner, small_region.r_outer + extra_width)
+    drawn = []
+    for region in (small_region, big_region):
+        rng = np.random.Generator(np.random.Philox(seed))
+        count, measure, angles = geometry._arrivals(density * region.area, rng)
+        measure = np.concatenate(measure)
+        drawn.append((count, measure, np.concatenate(angles), geometry._radial_radius(region, density, measure)))
+    (n, *small), (n_big, *big) = drawn
+    assert n_big >= n == small[0].size
+    for a, b in zip(small, big):
+        assert np.array_equal(b[:n], a)
 
 
 def test_radial_sampler_uniform_angles_and_radius_law():
-    # Radius^2 is uniform on [r_in^2, r_out^2] for a homogeneous process.
-    region = Annulus(1000.0, 3000.0)
-    rng = np.random.default_rng(31)
-    pts = np.vstack([sample_ppp_radial(region, 2e-5, rng) for _ in range(20)])
-    r2 = (pts[:, 0] ** 2 + pts[:, 1] ** 2 - region.r_inner**2) / (
-        region.r_outer**2 - region.r_inner**2
-    )
+    # Radius^2 of the engine's exterior stations is uniform on
+    # [r_in^2, r_out^2] for a homogeneous process, and so is the angle on
+    # [0, 2 pi).
+    cfg = ScenarioConfig(disaster_radius=700.0, active_ring_width=300.0, silencing_radius=2000.0,
+                         sim_radius=3000.0, bs_density=2e-5, master_seed=31)
+    block, = exterior_blocks(cfg, 20)
+    exterior = block.exterior
+    r_in, r_out = cfg.ring_outer_radius, cfg.sim_radius
+    r2 = (block.radius[exterior] ** 2 - r_in**2) / (r_out**2 - r_in**2)
+    turns = np.arctan2(block.y[exterior], block.x[exterior]) / (2.0 * math.pi) % 1.0
     # Kolmogorov-Smirnov style bound, generous at n > 1e4
     grid = np.linspace(0.05, 0.95, 19)
-    emp = np.searchsorted(np.sort(r2), grid) / r2.size
-    assert np.max(np.abs(emp - grid)) < 0.02
-
-
-
-def test_sample_uniform_in_region():
-    region = Annulus(2600.0, 12000.0)
-    pts = sample_uniform(region, 500, np.random.default_rng(2))
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    assert pts.shape == (500, 2)
-    assert np.all((r >= region.r_inner) & (r <= region.r_outer))
+    for fractions in (r2, turns):
+        emp = np.searchsorted(np.sort(fractions), grid) / fractions.size
+        assert np.max(np.abs(emp - grid)) < 0.02
 
 
 def test_nearest_point_hand_case():

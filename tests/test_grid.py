@@ -497,6 +497,7 @@ def test_property_silencing_zone_is_a_radius_prefix(bs_density, disaster_radius,
         lo, hi = block.bounds[i], block.bounds[i + 1]
         exterior, radius = block.exterior[lo:hi], block.radius[lo:hi]
         assert np.all(np.diff(radius[exterior]) >= 0.0)
+        assert np.all((ring_outer <= radius[exterior]) & (radius[exterior] <= cfg.sim_radius))
         n_inner = hi - lo - block.n_exterior[i]
         for k, r_s in enumerate(radii):
             zone = exterior & (radius <= r_s)

@@ -7,7 +7,7 @@ import platform
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -516,24 +516,50 @@ def test_estimate_worker_invariance():
     assert single == multi
 
 
-def test_sim_radius_extension_is_prefix_per_trial():
-    # The small-radius network is a bit-exact slice of the extended one.
-    small_cfg = unit_cfg(sim_radius=12000.0, silencing_radius=9000.0)
-    big_cfg = dataclasses.replace(small_cfg, sim_radius=24000.0)
-    for t in range(40):
-        small = build_network(small_cfg, t)
-        big = build_network(big_cfg, t)
-        n = small.n_bs
-        assert big.n_bs >= n
-        assert np.array_equal(big.xy[:n], small.xy)
-        assert np.array_equal(big.alive[:n], small.alive)
-        r_extra = np.hypot(big.xy[n:, 0], big.xy[n:, 1])
-        assert np.all(r_extra >= 12000.0)
-        assert np.array_equal(big.device_xy, small.device_xy)
-        # uplink fading draws for the shared stations also agree
-        h_small = trial_rng(small_cfg.master_seed, t, STREAM_UPLINK).exponential(size=n + 1)
-        h_big = trial_rng(big_cfg.master_seed, t, STREAM_UPLINK).exponential(size=big.n_bs + 1)
-        assert np.array_equal(h_big[: n + 1], h_small)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    ring_edge=st.floats(700.0, 5000.0),
+    small_width=st.floats(1.0, 20000.0),
+    extra_width=st.floats(1.0, 30000.0),
+    density=st.floats(1e-8, 2e-6),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(ring_edge=2600.0, small_width=17400.0, extra_width=20000.0, density=4e-7, seed=17)
+@example(ring_edge=2600.0, small_width=9400.0, extra_width=12000.0, density=1e-6, seed=7)
+def test_sim_radius_extension_is_prefix_per_trial(ring_edge, small_width, extra_width, density, seed):
+    # Each trial's stations and fading at the small sim_radius are a
+    # bit-exact prefix of those at the extended one: growing the truncation
+    # radius only appends exterior stations, all beyond the small radius.
+    disaster_radius = ring_edge - 600.0
+    ring_outer = disaster_radius + 600.0  # the config's ring edge, to the bit
+    small_cfg = ScenarioConfig(
+        disaster_radius=disaster_radius,
+        active_ring_width=600.0,
+        silencing_radius=ring_outer + small_width / 2,
+        sim_radius=ring_outer + small_width,
+        bs_density=density,
+        bs_survival_prob=0.5,
+        master_seed=seed,
+    )
+    big_cfg = dataclasses.replace(small_cfg, sim_radius=small_cfg.sim_radius + extra_width)
+    trials = range(8)
+    small, big = (netsim._sample_block(cfg, netsim._StreamPool(seed), trials, True) for cfg in (small_cfg, big_cfg))
+    assert np.array_equal(big.device, small.device)
+    assert np.array_equal(big.up_fading[0], small.up_fading[0])
+    assert np.array_equal(big.down_draws[0], small.down_draws[0])
+    assert np.array_equal(big.down_draws[1], small.down_draws[1])
+    for i in range(len(trials)):
+        lo, hi = small.bounds[i], small.bounds[i + 1]
+        big_lo, big_hi = big.bounds[i], big.bounds[i + 1]
+        n = hi - lo
+        assert big_hi - big_lo >= n
+        shared = slice(big_lo, big_lo + n)
+        for field in ("x", "y", "alive", "exterior", "radius"):
+            assert np.array_equal(getattr(big, field)[shared], getattr(small, field)[lo:hi]), field
+        assert np.array_equal(big.up_fading[1][shared], small.up_fading[1][lo:hi])
+        assert np.array_equal(big.down_draws[2][shared], small.down_draws[2][lo:hi])
+        assert np.all(big.exterior[big_lo + n:big_hi])
+        assert np.all(big.radius[big_lo + n:big_hi] >= small_cfg.sim_radius)
 
 
 # ---------------------------------------------------------------------------

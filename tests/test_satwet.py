@@ -4,13 +4,11 @@ import pytest
 
 from disastersim.channel import SPEED_OF_LIGHT
 from disastersim.satwet import (
-    EARTH_RADIUS,
     ChargingModel,
     SatWetParams,
     charge_curve,
     charging_time,
     pass_average_power,
-    slant_distance,
     zenith_harvested_power,
 )
 
@@ -40,31 +38,6 @@ def closed_form_pass_average(p: SatWetParams) -> float:
     h, r = p.altitude, p.earth_radius
     integral = (2.0 / (h * (2.0 * r + h))) * math.atan(((2.0 * r + h) / h) * math.tan(phi_max / 2.0))
     return k * integral / phi_max
-
-
-def test_slant_zenith_equals_altitude():
-    assert slant_distance(200e3, 90.0) == pytest.approx(200e3, rel=1e-12)
-
-
-def test_slant_horizon():
-    # sqrt(h^2 + 2 R h) at zero elevation: 1608.85 km for h = 200 km
-    d = slant_distance(200e3, 0.0)
-    assert d == pytest.approx(math.sqrt(200e3**2 + 2 * EARTH_RADIUS * 200e3), rel=1e-12)
-    assert d == pytest.approx(1.60885e6, rel=1e-5)
-
-
-def test_slant_vanishing_altitude():
-    # approaches zero (like sqrt(2 R h)) as the altitude vanishes
-    values = [slant_distance(h, 0.0) for h in (1e-3, 1e-6, 1e-9, 1e-12)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-    assert values[-1] < 1e-2
-
-
-def test_slant_rejects_bad_elevation():
-    with pytest.raises(ValueError):
-        slant_distance(200e3, -1.0)
-    with pytest.raises(ValueError):
-        slant_distance(200e3, 91.0)
 
 
 def test_zenith_power_reference_budget():
