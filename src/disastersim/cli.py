@@ -288,7 +288,8 @@ def main(argv=None) -> int:
         print(f"error: --out {args.out}: must not end in .manifest, the suffix of the manifest written next to it",
               file=sys.stderr)
         return EXIT_INPUT
-    for target in (args.out, manifest_path(args.out)):
+    outputs = (args.out, manifest_path(args.out))
+    for target in outputs:
         if _same_file(target, args.scenario):
             print(f"error: --out {args.out}: would write {target} over the scenario file {args.scenario}",
                   file=sys.stderr)
@@ -319,6 +320,17 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+    # An output that cannot be created fails before the run, and creates
+    # nothing; permissions and races still surface when it is written.
+    # Both outputs lie in the directory of --out.
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        print(f"error: cannot write output: {args.out}: its directory does not exist", file=sys.stderr)
+        return EXIT_IO
+    for target in outputs:
+        if os.path.isdir(target):
+            print(f"error: cannot write output: {target}: is a directory", file=sys.stderr)
+            return EXIT_IO
 
     rows, header = runner(doc, args.workers)
     try:

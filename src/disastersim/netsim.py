@@ -30,16 +30,18 @@ trial once and scores every point from that one realization.
 Interference has one summation order, shared by the engine and by the
 reference kernels uplink_sinr / downlink_sinr. Every sum is sequential,
 each term added to the sum of the ones before it (_prefix_sums), over the
-interferers of one group in station order:
+stations of one group in station order:
 
-    I_inner  the disaster- and ring-zone interferers, first to last
-    I_outer  the outer-zone interferers, last to first (from the far edge in)
-    I_sil    the silencing-zone interferers at full power, first to last
+    I_inner  the disaster- and ring-zone stations, first to last
+    I_outer  the outer-zone stations, last to first (from the far edge in)
+    I_sil    the silencing-zone stations at full power, first to last
 
 and I_fix = I_inner + I_outer. A policy with power factor f then sees
-I_fix + f * I_sil. A sequential sum does not change when a +0.0 term is
-added, so a sum over zero-padded rows or over terms zeroed by a mask has
-the bits of the sum over the kept terms alone.
+I_fix + f * I_sil. The zero-term rule, of the engine and the kernels
+alike: every station of a group gets a term, +0.0 if it does not
+interfere. Terms are never negative and a sequential sum does not change
+when a +0.0 term is added, so a sum over zero-padded rows or over terms
+zeroed by a mask has the bits of the sum over the interferers alone.
 
 One function, _tally, scores both links in the engine: it tests signal /
 (I_fix + f * I_sil + N) >= tau at every f from one pair of sums per trial,
@@ -514,9 +516,8 @@ def _prefix_sums(terms: np.ndarray) -> np.ndarray:
     added first to last, and out[..., 0] is 0.0.
 
     Each sum adds one term to the sum before it, so it has one result
-    whatever the array's shape or NumPy's dispatch. Terms are never
-    negative, and adding +0.0 changes no sum, so zero padding and zeroed
-    terms leave every sum's bits as they are.
+    whatever the array's shape or NumPy's dispatch, and the zero-term rule
+    (module docstring) holds.
     """
     out = np.zeros((*terms.shape[:-1], terms.shape[-1] + 1))
     terms.cumsum(axis=-1, out=out[..., 1:])
@@ -527,27 +528,24 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
                           bs_fading: np.ndarray, point_xy: np.ndarray, point_alt: float) -> float:
     """Interference at a point from the marked stations, as I_fix + f * I_sil.
 
-    Each term is pf*tx*h*g, and tx*h*g in the silencing zone, whose one
-    shared power factor is f (1.0 if it has no interferers). I_fix =
-    I_inner + I_outer. I_inner sums the disaster- and ring-zone terms first
-    to last, I_outer the outer-zone terms last to first (from the far edge
+    Each interferer's term is pf*tx*h*g, and tx*h*g in the silencing zone,
+    whose one shared power factor is f (1.0 if it has no interferers); by
+    the zero-term rule every other station's term is +0.0. I_fix = I_inner
+    + I_outer. I_inner sums the disaster- and ring-zone terms first to
+    last, I_outer the outer-zone terms last to first (from the far edge
     inward), and I_sil the silencing-zone terms first to last, each with
     _prefix_sums. The silencing engine sums the same groups in the same
     order, so both give the same bits.
     """
-    idx = np.flatnonzero(interferers)
-    zone = net.zone[idx]
-    sil, outer = zone == Zone.SILENCING, zone == Zone.OUTER
-    factors = net.power_factor[idx[sil]]
+    sil, outer = net.zone == Zone.SILENCING, net.zone == Zone.OUTER
+    factors = net.power_factor[interferers & sil]
     f = float(factors[0]) if factors.size else 1.0
-    if np.any(factors != f):
+    if (factors != f).any():
         raise ValueError(f"silencing-zone transmitters must share one power factor, got {np.unique(factors)}")
-    gains = _clamped_path_gain(_distance(*net.xy[idx].T, *point_xy, net.altitude[idx], point_alt), ch)
-    terms = np.where(sil, 1.0, net.power_factor[idx]) * net.tx_power[idx] * bs_fading[idx] * gains
-    # An empty group sums to 0.0 without the call: adding +0.0 changes no bit.
+    gains = _clamped_path_gain(_distance(*net.xy.T, *point_xy, net.altitude, point_alt), ch)
+    terms = np.where(interferers, np.where(sil, 1.0, net.power_factor) * net.tx_power * bs_fading * gains, 0.0)
     i_inner, i_outer, i_sil = (
-        _prefix_sums(group)[-1] if group.size else 0.0
-        for group in (terms[~(sil | outer)], terms[outer][::-1], terms[sil])
+        _prefix_sums(group)[-1] for group in (terms[~(sil | outer)], terms[outer][::-1], terms[sil])
     )
     return float(i_inner + i_outer + f * i_sil)
 
@@ -588,13 +586,8 @@ def uplink_sinr(
     signal, interference and noise are all 0, as downlink_sinr does.
     """
     ch = cfg.channel
-    servable = (
-        net.alive
-        & (net.power_factor > 0.0)
-        & (net.band == Band.DISASTER_BAND)
-        & (net.zone <= Zone.ACTIVE_RING)  # DISASTER or ACTIVE_RING
-    )
-    candidates = np.flatnonzero(servable)
+    transmitting = net.alive & (net.power_factor > 0.0) & (net.band == Band.DISASTER_BAND)
+    candidates = np.flatnonzero(transmitting & (net.zone <= Zone.ACTIVE_RING))  # DISASTER or ACTIVE_RING
     if candidates.size == 0:
         return math.nan, -1
 
@@ -603,10 +596,9 @@ def uplink_sinr(
     serving = int(candidates[pick])
     signal = cfg.device_tx_power * device_fading * _clamped_path_gain(d_dev[pick], ch)
 
-    interferers = net.alive & (net.power_factor > 0.0) & (net.band == Band.DISASTER_BAND)
-    interferers[serving] = False
+    transmitting[serving] = False
     interference = _grouped_interference(
-        net, ch, interferers, bs_fading, net.xy[serving], float(net.altitude[serving])
+        net, ch, transmitting, bs_fading, net.xy[serving], float(net.altitude[serving])
     )
     return _sinr(signal, interference + ch.noise_power, serving)
 
@@ -651,9 +643,8 @@ def downlink_sinr(
     serving = int(candidates[pick])
     signal = net.power_factor[serving] * net.tx_power[serving] * user_fading * _clamped_path_gain(d_user[pick], ch)
 
-    others = transmitting
-    others[serving] = False
-    interference = _grouped_interference(net, ch, others, bs_fading, user_xy, 0.0)
+    transmitting[serving] = False
+    interference = _grouped_interference(net, ch, transmitting, bs_fading, user_xy, 0.0)
     return _sinr(signal, interference + ch.noise_power, serving)
 
 

@@ -280,7 +280,7 @@ def _parse_silencing(node, seed: int, n_trials: int) -> SilencingSpec:
         master_seed=seed,
     )
 
-    policies = node.get("policies", ["none", "complete"])
+    policies = ["none", "complete"] if node.get("policies") is None else node["policies"]
     if not isinstance(policies, list) or not policies:
         raise ScenarioError(f"{path}.policies", "must be a nonempty list")
     policies = tuple(_parse_policy(p, f"{path}.policies[{i}]") for i, p in enumerate(policies))
@@ -293,7 +293,7 @@ def _parse_satwet(node) -> SatWetSpec:
 
     path = "satwet"
     node = _mapping(node, path, {*_SATWET_KEYS, *_CHARGING_KEYS, "mode", "heights_m", "payload_bits"})
-    mode = node.get("mode", "zenith")
+    mode = "zenith" if node.get("mode") is None else node["mode"]
     if mode not in MODES:
         raise ScenarioError(f"{path}.mode", f"must be one of {', '.join(MODES)}, got {mode!r}")
     params = _build(SatWetParams, path, **_fields(node, _SATWET_KEYS, path))
@@ -357,7 +357,7 @@ def load_scenario(
         raise ScenarioError("<document>", "scenario file is empty")
     raw = _mapping(raw, "<document>", {"name", "seed", "n_trials", "silencing", "satwet", "acb"})
 
-    name = _name(raw.get("name", Path(path).stem), "name")
+    name = _name(Path(path).stem if raw.get("name") is None else raw["name"], "name")
     seed = _integer(raw, "seed", "<document>", default=0)
     n_trials = _integer(raw, "n_trials", "<document>", default=10000)
     if seed_override is not None:

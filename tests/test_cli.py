@@ -391,15 +391,24 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind", ["missing-directory", "directory"])
-def test_output_path_that_cannot_be_a_file_exits_3(tmp_path, capsys, kind):
+@pytest.mark.parametrize("kind", ["missing-directory", "directory", "manifest-directory"])
+def test_output_path_that_cannot_be_a_file_exits_3(tmp_path, capsys, monkeypatch, kind):
+    # checked before the run: the model never runs, and nothing is created
+    def fail(*args, **kwargs):
+        pytest.fail("the model ran although its output cannot be written")
+
+    monkeypatch.setattr(cli, "charge_curve", fail)
     scenario = write(tmp_path, SATWET_SCENARIO)
     out = tmp_path / "missing" / "curve.csv" if kind == "missing-directory" else tmp_path / "curve.csv"
     if kind == "directory":
         out.mkdir()
+    if kind == "manifest-directory":
+        manifest_path(out).mkdir()
+    before = sorted(tmp_path.rglob("*"))
     assert run(["satwet-curve", "--scenario", scenario, "--out", out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -623,6 +623,51 @@ def test_property_trial_sums_are_sequential_sums(trials):
             assert kernel_sums(inner, exterior, n_inside) == (expected[0], expected[0] + 1.0 * expected[1])
 
 
+@st.composite
+def hand_snapshots(draw):
+    """A snapshot from conftest.snapshot_from_stations with random zones and
+    positions, dead stations, stations at power factor 0 and stations on
+    the other band; the silencing zone shares one factor. Also each
+    station's fading, a user position and a channel."""
+    coord = st.floats(-6000.0, 6000.0)
+    f = draw(st.sampled_from([0.0, 0.4, 1.0]))
+    stations = []
+    for _ in range(draw(st.integers(1, 14))):
+        zone = draw(st.sampled_from(list(netsim.Zone)))
+        stations.append({
+            "x": draw(coord), "y": draw(coord), "zone": zone,
+            "altitude": draw(st.sampled_from([0.0, 300.0])),
+            "tx_power": draw(st.floats(0.01, 10.0)),
+            "power_factor": f if zone == netsim.Zone.SILENCING else draw(st.sampled_from([0.0, 0.5, 1.0])),
+            "band": draw(st.sampled_from(list(netsim.Band))),
+            "alive": draw(st.booleans()),
+        })
+    net = snapshot_from_stations(stations, device=(draw(coord), draw(coord)))
+    fading = np.array([draw(st.floats(0.0, 5.0)) for _ in stations])
+    ch = ChannelParams(path_loss_exponent=draw(st.sampled_from([3.0, 3.5, 4.0])),
+                       noise_power=draw(st.sampled_from([0.0, 1e-12])))
+    return net, fading, np.array([draw(coord), draw(coord)]), ch
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(hand_snapshots())
+def test_property_kernels_ignore_stations_that_do_not_transmit(case):
+    # the zero-term rule: deleting every station that does not transmit on
+    # the link's band leaves the SINR's bits and the server, remapped
+    net, fading, user, ch = case
+    cfg = ScenarioConfig(device_tx_power=0.2, channel=ch)
+    links = [(netsim.Band.DISASTER_BAND, lambda n, h: uplink_sinr(n, cfg, 0.7, h))]
+    links += [(band, lambda n, h, band=band: downlink_sinr(n, cfg, user, band, 1.3, h)) for band in netsim.Band]
+    for band, kernel in links:
+        keep = np.flatnonzero(net.alive & (net.power_factor > 0.0) & (net.band == band))
+        kept = netsim.NetworkSnapshot(net.xy[keep], net.zone[keep], net.altitude[keep], net.tx_power[keep],
+                                      net.power_factor[keep], net.band[keep], net.alive[keep], net.device_xy)
+        sinr, serving = kernel(net.copy(), fading)
+        kept_sinr, kept_serving = kernel(kept, fading[keep])
+        assert np.float64(sinr).tobytes() == np.float64(kept_sinr).tobytes(), band
+        assert serving == (keep[kept_serving] if kept_serving >= 0 else -1), band
+
+
 class SerialPool:
     """A stand-in for ProcessPoolExecutor: records the size asked for and
     the chunk spans mapped, and maps in this process."""

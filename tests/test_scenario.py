@@ -6,6 +6,7 @@ import textwrap
 import pytest
 import yaml
 
+from disastersim import cli
 from disastersim.acb import AcdcProfile
 from disastersim.channel import ChannelParams
 from disastersim.netsim import ScenarioConfig, ScenarioError
@@ -400,6 +401,22 @@ def test_minimal_scenario_loads_the_model_defaults(tmp_path):
     assert doc.satwet.params == replace(SatWetParams(), altitude=300e3)
     assert doc.satwet.model == replace(ChargingModel(), payload_bits=800.0)
     assert doc.acb.profile == AcdcProfile(doc.acb.profile.classes)
+
+
+@pytest.mark.parametrize("section,key", [(None, "name"), ("satwet", "mode"), ("silencing", "policies")])
+def test_null_key_reads_as_omitted(tmp_path, section, key):
+    # the file stem, "zenith" and [none, complete], as when the key is left out
+    docs = []
+    for null in (False, True):
+        raw = yaml.safe_load(ALL_SECTIONS_MINIMAL)
+        if null:
+            (raw if section is None else raw[section])[key] = None
+        folder = tmp_path / str(null)
+        folder.mkdir()
+        docs.append(load_scenario(write(folder, yaml.safe_dump(raw))))
+    omitted, null = docs
+    assert null == omitted
+    assert cli._manifest_entries(null, "silencing-run") == cli._manifest_entries(omitted, "silencing-run")
 
 
 def documented_defaults(path="docs/scenario_schema.md") -> dict[str, str]:
