@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import io
 import os
 import stat
@@ -151,23 +150,17 @@ def _manifest_entries(doc: ScenarioDocument, subcommand: str) -> dict:
     return entries
 
 
-# The model function each runner calls, and the module that defines it. The
-# runners reach them as attributes of this module (_model), which imports
-# the module on first use (PEP 562); an attribute replaced on this module,
-# such as a timing wrapper, is the one that runs.
-_MODEL_FUNCTIONS = {
-    "estimate_grid": "netsim",
-    "sweep": "planner",
-    "charge_curve": "satwet",
-    "admitted_load": "acb",
-    "simulate_access": "acb",
-}
+# The model functions the runners call. The runners reach them as attributes
+# of this module (_model), resolved on first use (PEP 562) through the
+# package, which imports only the module that defines the name; an attribute
+# replaced on this module, such as a timing wrapper, is the one that runs.
+_MODEL_FUNCTIONS = ("estimate_grid", "sweep", "charge_curve", "admitted_load", "simulate_access")
 
 
 def __getattr__(name: str):
     if name not in _MODEL_FUNCTIONS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__package__}.{_MODEL_FUNCTIONS[name]}"), name)
+    value = getattr(sys.modules[__package__], name)
     globals()[name] = value
     return value
 
@@ -283,9 +276,10 @@ def main(argv=None) -> int:
         # every exit code instead of raising.
         return exc.code
 
-    # The manifest of x.manifest is x.manifest itself: it would overwrite the CSV.
-    if Path(args.out).suffix == ".manifest":
-        print(f"error: --out {args.out}: must not end in .manifest, the suffix of the manifest written next to it",
+    # The manifest of x.manifest is x.manifest itself: it would overwrite the
+    # CSV. A path with no file name ("", "/", ".") has no manifest path.
+    if not Path(args.out).name or Path(args.out).suffix == ".manifest":
+        print(f"error: --out {args.out}: must end in a file name, and not in .manifest, the suffix of its manifest",
               file=sys.stderr)
         return EXIT_INPUT
     outputs = (args.out, manifest_path(args.out))

@@ -104,7 +104,6 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field, replace
-from enum import IntEnum
 from functools import cached_property, lru_cache
 from itertools import repeat
 import math
@@ -141,14 +140,21 @@ __all__ = [
 ]
 
 
-class Zone(IntEnum):
+class Zone:
+    """The zone codes held in NetworkSnapshot.zone (int8). Plain ints, not an
+    IntEnum: NumPy looks up array-protocol methods on an operand's type, for
+    an enum member through EnumType.__getattr__, so `zone == Zone.SILENCING`
+    on 5043 stations took 6-7 us with one and 1 us with an int (NumPy 2.4.6)."""
+
     DISASTER = 0
     ACTIVE_RING = 1
     SILENCING = 2
     OUTER = 3
 
 
-class Band(IntEnum):
+class Band:
+    """The band codes held in NetworkSnapshot.band (int8); plain ints, as Zone's."""
+
     DISASTER_BAND = 0
     ALTERNATE_BAND = 1
 
@@ -390,7 +396,7 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
 _DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
 _INNER_TIERS = np.arange(_EXTERIOR, dtype=np.int8)
 _UNIFORMS_PER_STATION = (3, 2, 2)  # per station of an inner tier: radius and angle fractions, disaster survival mark
-_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)
+_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER], dtype=np.int8)  # per inner tier
 
 
 class _Plan(NamedTuple):
@@ -470,12 +476,11 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
         trial_rng(cfg.master_seed, trial_index, STREAM_EXTERIOR),
     )
     block = _place_block(cfg, draws)
-    n = block.tier.size
-    zone = _TIER_ZONE[block.tier]
-    zone[block.exterior & (block.radius <= cfg.silencing_radius)] = Zone.SILENCING
+    n = block.zone.size
+    block.zone[block.exterior & (block.radius <= cfg.silencing_radius)] = Zone.SILENCING
     return NetworkSnapshot(
         xy=np.column_stack((block.x, block.y)),
-        zone=zone,
+        zone=block.zone,
         altitude=block.alt,
         tx_power=block.tx,
         power_factor=np.ones(n),
@@ -726,7 +731,7 @@ class _Block:
     """
 
     bounds: np.ndarray  # (n_trials + 1,)
-    tier: np.ndarray  # (n,) int8, _DISASTER, _RING, _AERIAL or _EXTERIOR
+    zone: np.ndarray  # (n,) int8, Zone.DISASTER, ACTIVE_RING or OUTER: exterior stations are OUTER at every radius
     x: np.ndarray  # (n,) m
     y: np.ndarray  # (n,) m
     alt: np.ndarray  # (n,) m, 0 for terrestrial stations
@@ -817,9 +822,9 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     inner_tier = np.repeat(np.tile(_INNER_TIERS, n_trials), counts)
     slot = rank + np.repeat(np.cumsum(n_exterior) - n_exterior, n_inner)  # the station's place in the block
 
-    tier = np.full(n, _EXTERIOR, dtype=np.int8)
-    tier[slot] = inner_tier
-    exterior = tier == _EXTERIOR
+    zone = np.full(n, Zone.OUTER, dtype=np.int8)
+    zone[slot] = _TIER_ZONE[inner_tier]
+    exterior = zone == Zone.OUTER
     radius, angle = np.empty(n), np.empty(n)
     radius[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure))
     angle[exterior] = _concatenate(draws.angles)
@@ -841,7 +846,7 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
         alt[aerial], tx[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
     return _Block(
         bounds=bounds,
-        tier=tier,
+        zone=zone,
         x=x,
         y=y,
         alt=alt,

@@ -319,15 +319,19 @@ def test_out_of_range_seed_exits_2_naming_seed(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-def test_out_with_the_manifest_suffix_exits_2_before_loading(tmp_path, capsys, monkeypatch):
-    # The manifest of --out x.manifest would be written over the CSV.
+@pytest.mark.parametrize("out", ["curve.manifest", "", "/", "."], ids=["manifest", "empty", "root", "dot"])
+def test_out_with_the_manifest_suffix_exits_2_before_loading(tmp_path, capsys, monkeypatch, out):
+    # The manifest of --out x.manifest would be written over the CSV, and an
+    # --out with no file name has no manifest path at all.
     def fail(*args, **kwargs):
         raise AssertionError("loaded the scenario")
 
     monkeypatch.setattr(cli, "load_scenario", fail)
+    monkeypatch.chdir(tmp_path)
     scenario = write(tmp_path, SATWET_SCENARIO)
-    assert run(["satwet-curve", "--scenario", scenario, "--out", tmp_path / "curve.manifest"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: --out {tmp_path / 'curve.manifest'}: ")
+    assert run(["satwet-curve", "--scenario", scenario, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
     assert list(tmp_path.iterdir()) == [scenario]
 
 

@@ -6,6 +6,7 @@ trial, what build_network + apply_policy + uplink_trial / downlink_trial
 give when each point is scored on its own.
 """
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -47,9 +48,12 @@ POLICIES = (
 )
 
 
+@functools.cache
 def reference_counts(cfg: ScenarioConfig, radii, policies) -> np.ndarray:
     """[radius, policy, (up successes, up holes, down successes, down holes)],
-    each point scored on its own realization with the reference kernels."""
+    each point scored on its own realization with the reference kernels.
+    Cached, so each worker count of a test is checked against one oracle
+    run; the counts are read-only, since every caller shares them."""
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
     for t in range(cfg.n_trials):
         for k, r_s in enumerate(radii):
@@ -60,6 +64,7 @@ def reference_counts(cfg: ScenarioConfig, radii, policies) -> np.ndarray:
                 up = uplink_trial(policied, cfg_k, trial_rng(cfg.master_seed, t, STREAM_UPLINK))
                 down = downlink_trial(policied, cfg_k, policy, trial_rng(cfg.master_seed, t, STREAM_DOWNLINK))
                 counts[k, j] += (up.success, up.coverage_hole, down.success, down.coverage_hole)
+    counts.setflags(write=False)
     return counts
 
 
@@ -633,13 +638,14 @@ def hand_snapshots(draw):
     f = draw(st.sampled_from([0.0, 0.4, 1.0]))
     stations = []
     for _ in range(draw(st.integers(1, 14))):
-        zone = draw(st.sampled_from(list(netsim.Zone)))
+        zone = draw(st.sampled_from((netsim.Zone.DISASTER, netsim.Zone.ACTIVE_RING,
+                                     netsim.Zone.SILENCING, netsim.Zone.OUTER)))
         stations.append({
             "x": draw(coord), "y": draw(coord), "zone": zone,
             "altitude": draw(st.sampled_from([0.0, 300.0])),
             "tx_power": draw(st.floats(0.01, 10.0)),
             "power_factor": f if zone == netsim.Zone.SILENCING else draw(st.sampled_from([0.0, 0.5, 1.0])),
-            "band": draw(st.sampled_from(list(netsim.Band))),
+            "band": draw(st.sampled_from((netsim.Band.DISASTER_BAND, netsim.Band.ALTERNATE_BAND))),
             "alive": draw(st.booleans()),
         })
     net = snapshot_from_stations(stations, device=(draw(coord), draw(coord)))
@@ -657,7 +663,8 @@ def test_property_kernels_ignore_stations_that_do_not_transmit(case):
     net, fading, user, ch = case
     cfg = ScenarioConfig(device_tx_power=0.2, channel=ch)
     links = [(netsim.Band.DISASTER_BAND, lambda n, h: uplink_sinr(n, cfg, 0.7, h))]
-    links += [(band, lambda n, h, band=band: downlink_sinr(n, cfg, user, band, 1.3, h)) for band in netsim.Band]
+    links += [(band, lambda n, h, band=band: downlink_sinr(n, cfg, user, band, 1.3, h))
+              for band in (netsim.Band.DISASTER_BAND, netsim.Band.ALTERNATE_BAND)]
     for band, kernel in links:
         keep = np.flatnonzero(net.alive & (net.power_factor > 0.0) & (net.band == band))
         kept = netsim.NetworkSnapshot(net.xy[keep], net.zone[keep], net.altitude[keep], net.tx_power[keep],

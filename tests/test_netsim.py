@@ -402,28 +402,35 @@ def test_uplink_aerial_can_serve_with_3d_range():
 
 
 # ---------------------------------------------------------------------------
-# closed-form Rayleigh outage oracle
+# the device power in the uplink signal
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "tau,noise,p_device,expected",
-    [
-        # exponent = tau * N * d0^alpha / P_d with d0 = 100 m, alpha = 4; the
-        # unit-power cases are acceptance criterion 4's, so only a device
-        # power other than 1 is checked here
-        (0.1, 1e-8, 0.04343, math.exp(-2.302554)),  # ~0.1000
-    ],
-)
-def test_noise_only_success_matches_rayleigh_outage(tau, noise, p_device, expected):
+class FixedFading:
+    """Stands in for uplink_trial's generator: the device fading g, then unit
+    fading for every station."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def exponential(self, size=None):
+        return self.g if size is None else np.ones(size)
+
+
+@pytest.mark.parametrize("p_device", [0.04343, 0.2])
+def test_noise_only_success_matches_rayleigh_outage(p_device):
+    # Criterion 4 checks the Rayleigh law of the draw at unit device power.
+    # What the device power P changes is the signal, so it is checked
+    # exactly: one station at 100 m and no interferer give the SINR
+    # P g l(100) / N, and success flips at g* = tau N / (P l(100)).
     net = snapshot_from_stations([disaster_station(100.0, 0.0)])
-    cfg = unit_cfg(
-        device_tx_power=p_device,
-        channel=ChannelParams(path_loss_exponent=4.0, sinr_threshold=tau, noise_power=noise),
-    )
-    rng = np.random.default_rng(2026)
-    n = 100_000
-    hits = sum(uplink_trial(net, cfg, rng).success for _ in range(n))
-    assert abs(hits / n - expected) < 0.01
+    ch = ChannelParams(path_loss_exponent=4.0, sinr_threshold=0.1, noise_power=1e-8)
+    cfg = unit_cfg(device_tx_power=p_device, channel=ch)
+    gain = path_gain(100.0, ch)
+    for g in (0.3, 1.0, 2.5):
+        assert uplink_sinr(net, cfg, g, np.ones(1)) == ((p_device * g * gain) / 1e-8, 0)
+    g_star = 0.1 * 1e-8 / (p_device * gain)
+    assert not uplink_trial(net, cfg, FixedFading(g_star * (1 - 1e-9))).success
+    assert uplink_trial(net, cfg, FixedFading(g_star * (1 + 1e-9))).success
 
 
 # ---------------------------------------------------------------------------
