@@ -277,8 +277,10 @@ def main(argv=None) -> int:
         return exc.code
 
     # The manifest of x.manifest is x.manifest itself: it would overwrite the
-    # CSV. A path with no file name ("", "/", ".") has no manifest path.
-    if not Path(args.out).name or Path(args.out).suffix == ".manifest":
+    # CSV. A path with no file name ("", "/", ".", or one that ends in a
+    # separator, such as "f/") has no manifest path.
+    if (not Path(args.out).name or args.out.endswith(tuple(filter(None, (os.sep, os.altsep))))
+            or Path(args.out).suffix == ".manifest"):
         print(f"error: --out {args.out}: must end in a file name, and not in .manifest, the suffix of its manifest",
               file=sys.stderr)
         return EXIT_INPUT

@@ -65,9 +65,12 @@ pass places every station. Placement is elementwise, so a station gets the
 same coordinates whether its trial is placed alone (build_network, a
 one-trial block) or in a block.
 
-estimate_grid walks its trials in blocks of _BLOCK. Per trial, it calls
-_sample_trial and draws the fading, resetting each stream once, and the
-stations' fading lands in place in the block's arrays. Everything else
+estimate_grid cuts each chunk of trials it scores into near-equal blocks:
+k = max(1, n // _BLOCK) blocks for n trials, so every block holds _BLOCK
+to 2 * _BLOCK - 1 trials, and only a chunk shorter than _BLOCK is one
+smaller block. Per trial, it calls _sample_trial and draws the fading,
+resetting each stream once, and the stations' fading lands in place in
+the block's arrays. Everything else
 runs once per block, on the block's stations concatenated into ragged
 arrays: it places the stations, counts each trial's silencing-zone
 stations at every radius, computes distances (2-D in a block without an
@@ -83,8 +86,16 @@ sum over that row give I_sil and I_outer at every radius (_trial_sums).
 The uplink's terms do not depend on the radius, so it sums once per block
 for every radius. Every policy is then scored from the sums at once. A
 block pays a fixed scoring cost, which a larger block spreads over more
-trials, but every batched array, and so peak memory, grows with it; so the
-block is a small constant, 32 trials.
+trials, but every batched array, and so peak memory, grows with it; so
+_BLOCK is a small constant, 32 trials, and no block exceeds 63, so a
+block's arrays at most about double. With fixed blocks of 32, a chunk
+ended in a short block that paid the whole fixed cost for a few trials
+(the fig5 sweep's 50 trials were 32 + 18, the run's 100 were
+32 + 32 + 32 + 4); now they are one block of 50 and three of 33-34, and
+perfbench wall_s fell to 0.91x of the fixed blocks' on sweep-fig5 and
+0.95x on run-fig5, for 1.2 MB more peak RSS on sweep-fig5 (README,
+"Determinism"). A 100k-trial call is cut as before: 100 000 is a multiple
+of 32, and so is every pool chunk.
 Each trial is its own row of every block array, so no count depends on
 the block size. The first _count_chunk call in a process tells the C
 allocator to keep the heap it frees (_keep_freed_heap), so later blocks
@@ -674,14 +685,20 @@ def downlink_trial(
     return _trial_result(cfg, *downlink_sinr(net, cfg, user, band, g, h))
 
 
-# Trials per block of the silencing engine. A block's stations, about 500
-# per trial on paper_fig5, are scored as one set of ragged arrays, and each
-# block pays a fixed scoring cost (on the fig5 sweep grid, 7 _tally, 7
-# _nearest and 4 _distance calls whatever its size).
-# Every temporary array of a block grows with it, and so does the engine's
-# peak RSS, so the block is a small constant rather than an option: 32
-# halves the blocks of 16 for about 1.4 MB, and 64 ran within the noise of
-# 32 for 1.4-2.2 MB more (README, "Determinism"). No count depends on it.
+# Least trials per block of the silencing engine: _count_chunk cuts n
+# trials into max(1, n // _BLOCK) near-equal blocks of _BLOCK to
+# 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
+# scoring cost (on the fig5 sweep grid, 7 _tally, 7 _nearest and 4
+# _distance calls whatever its size) for a few trials. A block's stations,
+# about 500 per trial on paper_fig5, are scored as one set of ragged
+# arrays. Every temporary array of a block grows with it, and so does the
+# engine's peak RSS, so the block is a small constant rather than an
+# option: 32 halves the blocks of 16 for about 1.4 MB, and 64 ran within
+# the noise of 32 for 1.4-2.2 MB more. Merging the tail (a block at most
+# about doubles) took perfbench wall_s to 0.91x of fixed 32-trial blocks
+# on sweep-fig5 and 0.95x on run-fig5, for 1.2 MB more peak RSS on
+# sweep-fig5; 100k-trial calls are cut as before (README, "Determinism").
+# No count depends on it.
 _BLOCK = 32
 
 # estimate_grid forks at most one worker per this many trials: forking and
@@ -1052,19 +1069,22 @@ def _count_chunk(cfg: ScenarioConfig, radii, policies, downlink: bool, start: in
     downlink successes, downlink holes)] over trials [start, stop); the
     downlink's stay 0 unless downlink.
 
-    Trials are sampled and scored in blocks of _BLOCK; only the zone split
-    depends on the radius, because exterior stations cover the whole (ring,
-    sim_radius) annulus.
+    Trials are sampled and scored in k = max(1, (stop - start) // _BLOCK)
+    near-equal blocks, of _BLOCK to 2 * _BLOCK - 1 trials each (a chunk
+    shorter than _BLOCK is one block); only the zone split depends on the
+    radius, because exterior stations cover the whole (ring, sim_radius)
+    annulus.
     """
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
     up_factors = np.array([_band_factors(p, downlink=False)[1] for p in policies])
     down_factors = [_band_factors(p, downlink=True) for p in policies]
     streams = _StreamPool(cfg.master_seed)
+    n_blocks = max(1, (stop - start) // _BLOCK)
+    edges = [start + (stop - start) * i // n_blocks for i in range(n_blocks + 1)]
     _keep_freed_heap()
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_tally)
-        for first in range(start, stop, _BLOCK):
-            trials = range(first, min(first + _BLOCK, stop))
-            block = _sample_block(cfg, streams, trials, downlink)
+        for first, last in zip(edges, edges[1:]):
+            block = _sample_block(cfg, streams, range(first, last), downlink)
             inside = block.silencing_counts(radii)
             _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
             for k, r_s in enumerate(radii if downlink else ()):
@@ -1117,7 +1137,8 @@ def estimate_grid(
     # pool costs about 10 ms, and on 2 cores two workers beat one on the fig5
     # sweep only from about 110-128 trials (silencing-run from 190-256). With
     # one worker the trials run here, and the process-pool modules are never
-    # imported. Otherwise chunks of whole blocks, about four per worker.
+    # imported. Otherwise chunks of a multiple of _BLOCK trials, about four
+    # per worker, each cut into blocks by _count_chunk.
     # Per-trial seeding makes any partition valid; summing integer counts in
     # ascending chunk order keeps the result identical for any worker count.
     workers = min(workers, n // _TRIALS_PER_WORKER)

@@ -319,20 +319,27 @@ def test_out_of_range_seed_exits_2_naming_seed(tmp_path, capsys, seed):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", ["curve.manifest", "", "/", "."], ids=["manifest", "empty", "root", "dot"])
+@pytest.mark.parametrize("out", ["curve.manifest", "", "/", ".", "f/", "d/", "x.csv/"],
+                         ids=["manifest", "empty", "root", "dot", "file-slash", "dir-slash", "missing-slash"])
 def test_out_with_the_manifest_suffix_exits_2_before_loading(tmp_path, capsys, monkeypatch, out):
     # The manifest of --out x.manifest would be written over the CSV, and an
-    # --out with no file name has no manifest path at all.
+    # --out with no file name has no manifest path at all. A trailing
+    # separator leaves no file name, whatever the name before it is: a
+    # regular file f, a directory d, or nothing (x.csv).
     def fail(*args, **kwargs):
         raise AssertionError("loaded the scenario")
 
     monkeypatch.setattr(cli, "load_scenario", fail)
     monkeypatch.chdir(tmp_path)
     scenario = write(tmp_path, SATWET_SCENARIO)
+    (tmp_path / "f").touch()
+    (tmp_path / "d").mkdir()
+    before = sorted(tmp_path.iterdir())
     assert run(["satwet-curve", "--scenario", scenario, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: --out {out}: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == [scenario]
+    assert err == (f"error: --out {out}: must end in a file name, and not in .manifest, "
+                   "the suffix of its manifest\n")
+    assert sorted(tmp_path.iterdir()) == before and not any((tmp_path / "d").iterdir())
 
 
 @pytest.mark.parametrize("alias", ["same-path", "manifest", "symlink", "hard-link"])

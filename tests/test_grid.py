@@ -250,7 +250,9 @@ def test_empty_grid_rejected_before_sampling(monkeypatch):
 FOUR = POLICIES[:4]
 
 
-@pytest.mark.parametrize("n_trials", [netsim._BLOCK - 1, netsim._BLOCK, netsim._BLOCK + 1])
+# one short block, one full block, one block of 33, one of 63, two of 32
+@pytest.mark.parametrize("n_trials", [netsim._BLOCK - 1, netsim._BLOCK, netsim._BLOCK + 1,
+                                      2 * netsim._BLOCK - 1, 2 * netsim._BLOCK])
 def test_grid_equals_reference_at_block_edges(n_trials):
     cfg = base_cfg(n_trials=n_trials, master_seed=77)
     assert_grid_matches(cfg, (5000.0, 9000.0), POLICIES, workers=1)
@@ -306,13 +308,14 @@ def test_grid_without_aerial_tier_equals_an_empty_aerial_tier():
 
 def test_block_size_changes_no_count(monkeypatch):
     # each trial is its own row of every block array, so how many trials a
-    # block holds moves no count: 70 trials make 70 blocks of 1, ten of 7
-    # and a short one, ..., or one of 64 and a short one
+    # block holds moves no count: 70 trials make 70 blocks of 1, ten of 7,
+    # four of 17-18, two of 35, or one of 70 (the 6-trial tail merges at 16
+    # and 32, the 22-trial one at 48, and at 64 all 70 are one block)
     cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=70, master_seed=61,
                    aerial=AerialTier(density=5e-8, altitude=300.0, tx_power=0.5))
     radii = (3500.0, 9000.0, 14000.0)
     grids = []
-    for block in (1, 7, 16, 32, 64):
+    for block in (1, 7, 16, 32, 48, 64):
         monkeypatch.setattr(netsim, "_BLOCK", block)
         grids.append(estimate_grid(cfg, radii, POLICIES))
     assert all(grid == grids[0] for grid in grids[1:])
@@ -447,7 +450,7 @@ def test_block_sample_equals_raw_draw_replay(bs_density):
     survival=st.sampled_from([0.0, 0.3, 1.0]),
     exterior_width=st.sampled_from([3000.0, 12000.0]),
     first=st.integers(0, 10**6),
-    n=st.integers(1, netsim._BLOCK),
+    n=st.integers(1, 2 * netsim._BLOCK - 1),  # up to a block with a merged tail
     seed=st.integers(0, 2**64 - 1),
 )
 def test_property_block_sample_equals_geometry_replay(bs_density, aerial_density, survival, exterior_width,
@@ -725,6 +728,39 @@ def test_pool_chunks_are_unchanged_with_four_blocks_per_worker(serial_pool, monk
     estimate_grid(base_cfg(n_trials=n_trials), (9000.0,), FOUR, workers=workers)
     assert serial_pool.sizes == [workers]
     assert serial_pool.spans == [[(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_hold_block_to_twice_block_minus_one_trials(serial_pool, monkeypatch, workers):
+    # each chunk is cut into near-equal blocks of _BLOCK to 2 * _BLOCK - 1
+    # trials, so no short tail block pays a block's fixed cost for a few
+    # trials; only a chunk shorter than _BLOCK is one smaller block. With 2
+    # workers, 152 trials make pool chunks of 32 and a last one of 24.
+    blocks = []
+    original = netsim._sample_block
+
+    def recording(cfg, streams, trials, downlink):
+        blocks.append(trials)
+        return original(cfg, streams, trials, downlink)
+
+    monkeypatch.setattr(netsim, "_sample_block", recording)
+    block = netsim._BLOCK
+    for n in (1, 31, 50, 63, 64, 100, 152):
+        blocks.clear()
+        serial_pool.spans.clear()
+        estimate_grid(base_cfg(bs_density=0.0, n_trials=n), (9000.0,), FOUR[:1], workers=workers)
+        chunks = serial_pool.spans[0] if serial_pool.spans else [(0, n)]
+        assert [t for trials in blocks for t in trials] == list(range(n)), n
+        for start, stop in chunks:
+            sizes = [len(trials) for trials in blocks if start <= trials.start < stop]
+            assert sum(sizes) == stop - start, (n, start)
+            if stop - start < block:
+                assert sizes == [stop - start], (n, start)
+            else:
+                assert all(block <= size < 2 * block for size in sizes), (n, sizes)
+        if n == 50:
+            assert len(blocks) == 1
+    assert serial_pool.spans == ([[(s, min(s + block, 152)) for s in range(0, 152, block)]] if workers == 2 else [])
 
 
 def test_radius_outside_sim_radius_rejected():
