@@ -65,14 +65,15 @@ pass places every station. Placement is elementwise, so a station gets the
 same coordinates whether its trial is placed alone (build_network, a
 one-trial block) or in a block.
 
-estimate_grid cuts each chunk of trials it scores into near-equal blocks:
-k = max(1, n // _BLOCK) blocks for n trials, so every block holds _BLOCK
-to 2 * _BLOCK - 1 trials, and only a chunk shorter than _BLOCK is one
-smaller block. Per trial, it calls _sample_trial and draws the fading,
-resetting each stream once, and the stations' fading lands in place in
-the block's arrays. Everything else
-runs once per block, on the block's stations concatenated into ragged
-arrays: it places the stations, counts each trial's silencing-zone
+estimate_grid cuts the n trials it scores into near-equal blocks once:
+k = max(1, n // _BLOCK) blocks, with edges at n * i // k, so every block
+holds _BLOCK to 2 * _BLOCK - 1 trials, and fewer than _BLOCK trials are
+one smaller block. The blocks depend on n alone, never on the worker
+count, and a pool task is a run of whole blocks. Per trial, the engine
+calls _sample_trial and draws the fading, resetting each stream once,
+and the stations' fading lands in place in the block's arrays.
+Everything else runs once per block, on the block's stations
+concatenated into ragged arrays: it places the stations, counts each trial's silencing-zone
 stations at every radius, computes distances (2-D in a block without an
 aerial tier, where every altitude is 0.0 and would add +0.0), path gains
 and the full-power received terms, and finds each trial's serving station
@@ -88,16 +89,9 @@ for every radius. Every policy is then scored from the sums at once. A
 block pays a fixed scoring cost, which a larger block spreads over more
 trials, but every batched array, and so peak memory, grows with it; so
 _BLOCK is a small constant, 32 trials, and no block exceeds 63, so a
-block's arrays at most about double. With fixed blocks of 32, a chunk
-ended in a short block that paid the whole fixed cost for a few trials
-(the fig5 sweep's 50 trials were 32 + 18, the run's 100 were
-32 + 32 + 32 + 4); now they are one block of 50 and three of 33-34, and
-perfbench wall_s fell to 0.91x of the fixed blocks' on sweep-fig5 and
-0.95x on run-fig5, for 1.2 MB more peak RSS on sweep-fig5 (README,
-"Determinism"). A 100k-trial call is cut as before: 100 000 is a multiple
-of 32, and so is every pool chunk.
+block's arrays at most about double.
 Each trial is its own row of every block array, so no count depends on
-the block size. The first _count_chunk call in a process tells the C
+the block size. The first _count_blocks call in a process tells the C
 allocator to keep the heap it frees (_keep_freed_heap), so later blocks
 and calls reuse their pages instead of faulting them back in.
 
@@ -685,7 +679,7 @@ def downlink_trial(
     return _trial_result(cfg, *downlink_sinr(net, cfg, user, band, g, h))
 
 
-# Least trials per block of the silencing engine: _count_chunk cuts n
+# Least trials per block of the silencing engine: estimate_grid cuts n
 # trials into max(1, n // _BLOCK) near-equal blocks of _BLOCK to
 # 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
 # scoring cost (on the fig5 sweep grid, 7 _tally, 7 _nearest and 4
@@ -694,11 +688,8 @@ def downlink_trial(
 # arrays. Every temporary array of a block grows with it, and so does the
 # engine's peak RSS, so the block is a small constant rather than an
 # option: 32 halves the blocks of 16 for about 1.4 MB, and 64 ran within
-# the noise of 32 for 1.4-2.2 MB more. Merging the tail (a block at most
-# about doubles) took perfbench wall_s to 0.91x of fixed 32-trial blocks
-# on sweep-fig5 and 0.95x on run-fig5, for 1.2 MB more peak RSS on
-# sweep-fig5; 100k-trial calls are cut as before (README, "Determinism").
-# No count depends on it.
+# the noise of 32 for 1.4-2.2 MB more. No block exceeds 63 trials, so a
+# block's arrays at most about double those of 32. No count depends on it.
 _BLOCK = 32
 
 # estimate_grid forks at most one worker per this many trials: forking and
@@ -1064,23 +1055,19 @@ def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.n
         counts[members] += _tally(ch, block, serving, signal, full, on, inside, f)[0]
 
 
-def _count_chunk(cfg: ScenarioConfig, radii, policies, downlink: bool, start: int, stop: int) -> np.ndarray:
+def _count_blocks(cfg: ScenarioConfig, radii, policies, downlink: bool, edges) -> np.ndarray:
     """Integer counts [radius, policy, (uplink successes, uplink holes,
-    downlink successes, downlink holes)] over trials [start, stop); the
-    downlink's stay 0 unless downlink.
+    downlink successes, downlink holes)] over the blocks of trials
+    [edges[i], edges[i + 1]); the downlink's stay 0 unless downlink.
 
-    Trials are sampled and scored in k = max(1, (stop - start) // _BLOCK)
-    near-equal blocks, of _BLOCK to 2 * _BLOCK - 1 trials each (a chunk
-    shorter than _BLOCK is one block); only the zone split depends on the
-    radius, because exterior stations cover the whole (ring, sim_radius)
-    annulus.
+    Each block is sampled and scored as one; only the zone split depends
+    on the radius, because exterior stations cover the whole
+    (ring, sim_radius) annulus.
     """
     counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
     up_factors = np.array([_band_factors(p, downlink=False)[1] for p in policies])
     down_factors = [_band_factors(p, downlink=True) for p in policies]
     streams = _StreamPool(cfg.master_seed)
-    n_blocks = max(1, (stop - start) // _BLOCK)
-    edges = [start + (stop - start) * i // n_blocks for i in range(n_blocks + 1)]
     _keep_freed_heap()
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_tally)
         for first, last in zip(edges, edges[1:]):
@@ -1133,25 +1120,25 @@ def estimate_grid(
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig bounds every radius
     n = cfg.n_trials
+    k = max(1, n // _BLOCK)
+    edges = [n * i // k for i in range(k + 1)]
     # At most one worker per _TRIALS_PER_WORKER trials: forking and joining a
     # pool costs about 10 ms, and on 2 cores two workers beat one on the fig5
     # sweep only from about 110-128 trials (silencing-run from 190-256). With
-    # one worker the trials run here, and the process-pool modules are never
-    # imported. Otherwise chunks of a multiple of _BLOCK trials, about four
-    # per worker, each cut into blocks by _count_chunk.
-    # Per-trial seeding makes any partition valid; summing integer counts in
-    # ascending chunk order keeps the result identical for any worker count.
+    # one worker the blocks run here, and the process-pool modules are never
+    # imported. Otherwise each pool task is a run of whole blocks, about four
+    # tasks per worker. Per-trial seeding makes any partition valid; summing
+    # integer counts in ascending task order keeps the result identical for
+    # any worker count.
     workers = min(workers, n // _TRIALS_PER_WORKER)
     if workers <= 1:
-        counts = _count_chunk(cfg, radii, policies, downlink, 0, n)
+        counts = _count_blocks(cfg, radii, policies, downlink, edges)
     else:
-        chunk = _BLOCK * math.ceil(n / (workers * 4 * _BLOCK))
-        starts = range(0, n, chunk)
-        stops = [min(s + chunk, n) for s in starts]
+        step = math.ceil(k / (4 * workers))
         counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
         with _module.ProcessPoolExecutor(max_workers=workers) as pool:
-            for part in pool.map(_count_chunk, repeat(cfg), repeat(radii), repeat(policies),
-                                 repeat(downlink), starts, stops):
+            for part in pool.map(_count_blocks, repeat(cfg), repeat(radii), repeat(policies), repeat(downlink),
+                                 (edges[i:i + step + 1] for i in range(0, k, step))):
                 counts += part
     return [
         [

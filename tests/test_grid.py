@@ -244,7 +244,7 @@ def test_empty_grid_rejected_before_sampling(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the block engine: block edges, chunking, ties and empty trials
+# the block engine: block edges, pool tasks, ties and empty trials
 # ---------------------------------------------------------------------------
 
 FOUR = POLICIES[:4]
@@ -259,15 +259,16 @@ def test_grid_equals_reference_at_block_edges(n_trials):
 
 
 def test_grid_equals_reference_when_chunks_split_blocks():
-    # 2 workers cut chunks of whole blocks, and the last one ends in a short
-    # block; chunks that start mid-way through a block's range sum to the
-    # same counts
+    # 2 workers map runs of whole blocks; blocks cut anywhere else, and
+    # edge lists split anywhere, sum to the same counts
     n = 2 * netsim._TRIALS_PER_WORKER + 24
     assert n % netsim._BLOCK
     cfg = base_cfg(n_trials=n, sim_radius=10000.0, master_seed=5)
     expected = assert_grid_matches(cfg, (9000.0,), FOUR, workers=2)
     edges = [0, netsim._BLOCK + 3, 3 * netsim._BLOCK - 5, n]
-    parts = [netsim._count_chunk(cfg, (9000.0,), FOUR, True, a, b) for a, b in zip(edges, edges[1:])]
+    assert np.array_equal(netsim._count_blocks(cfg, (9000.0,), FOUR, True, edges), expected)
+    parts = [netsim._count_blocks(cfg, (9000.0,), FOUR, True, edges[:2]),
+             netsim._count_blocks(cfg, (9000.0,), FOUR, True, edges[1:])]
     assert np.array_equal(sum(parts), expected)
 
 
@@ -680,7 +681,7 @@ def test_property_kernels_ignore_stations_that_do_not_transmit(case):
 
 class SerialPool:
     """A stand-in for ProcessPoolExecutor: records the size asked for and
-    the chunk spans mapped, and maps in this process."""
+    the edge list of every task mapped, and maps in this process."""
 
     def __init__(self, max_workers):
         self.sizes.append(max_workers)
@@ -691,15 +692,16 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, cfg, radii, policies, downlink, starts, stops):
-        self.spans.append(list(zip(starts, stops)))
-        return map(fn, cfg, radii, policies, downlink, starts, stops)
+    def map(self, fn, cfg, radii, policies, downlink, tasks):
+        tasks = list(tasks)
+        self.tasks.append(tasks)
+        return map(fn, cfg, radii, policies, downlink, tasks)
 
 
 @pytest.fixture
 def serial_pool(monkeypatch):
     class Pool(SerialPool):
-        sizes, spans = [], []
+        sizes, tasks = [], []
 
     monkeypatch.setattr(netsim, "ProcessPoolExecutor", Pool)
     return Pool
@@ -719,23 +721,30 @@ def test_pool_forks_at_most_one_worker_per_64_trials(serial_pool):
 
 @pytest.mark.parametrize("n_trials,workers", [(128, 2), (323, 5), (1000, 3), (100_000, 2), (100_000, 8)])
 def test_pool_chunks_are_unchanged_with_four_blocks_per_worker(serial_pool, monkeypatch, n_trials, workers):
-    # with n >= 64 * workers every worker is forked, and the chunks are
-    # about four per worker of whole blocks, as before the cap; the chunks
-    # count nothing here, so 100k trials cost no scoring
-    monkeypatch.setattr(netsim, "_count_chunk", lambda *chunk: 0)
-    block = netsim._BLOCK
-    chunk = block * math.ceil(n_trials / (workers * 4 * block))
+    # with n >= 64 * workers every worker is forked, and each task is a run
+    # of `step` whole blocks of the one partition, about four tasks per
+    # worker; the tasks count nothing here, so 100k trials cost no scoring
+    monkeypatch.setattr(netsim, "_count_blocks", lambda *task: 0)
+    k = n_trials // netsim._BLOCK
+    edges = [n_trials * i // k for i in range(k + 1)]
+    step = math.ceil(k / (4 * workers))
     estimate_grid(base_cfg(n_trials=n_trials), (9000.0,), FOUR, workers=workers)
     assert serial_pool.sizes == [workers]
-    assert serial_pool.spans == [[(s, min(s + chunk, n_trials)) for s in range(0, n_trials, chunk)]]
+    assert serial_pool.tasks == [[edges[i:i + step + 1] for i in range(0, k, step)]]
+    # the trials each task spans, where they must not move
+    pinned = {(128, 2): [32] * 4, (100_000, 2): [12512] * 7 + [12416], (100_000, 8): [3136] * 31 + [2784]}
+    if (n_trials, workers) in pinned:
+        assert [task[-1] - task[0] for task in serial_pool.tasks[0]] == pinned[n_trials, workers]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blocks_hold_block_to_twice_block_minus_one_trials(serial_pool, monkeypatch, workers):
-    # each chunk is cut into near-equal blocks of _BLOCK to 2 * _BLOCK - 1
-    # trials, so no short tail block pays a block's fixed cost for a few
-    # trials; only a chunk shorter than _BLOCK is one smaller block. With 2
-    # workers, 152 trials make pool chunks of 32 and a last one of 24.
+    # the n trials are cut once into near-equal blocks of _BLOCK to
+    # 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
+    # cost for a few trials; only n < _BLOCK is one smaller block. The
+    # blocks do not depend on the worker count, and a pool task is a run of
+    # whole blocks, so none is shorter than _BLOCK: 152 trials on 2 workers
+    # are four tasks of 38.
     blocks = []
     original = netsim._sample_block
 
@@ -746,21 +755,26 @@ def test_blocks_hold_block_to_twice_block_minus_one_trials(serial_pool, monkeypa
     monkeypatch.setattr(netsim, "_sample_block", recording)
     block = netsim._BLOCK
     for n in (1, 31, 50, 63, 64, 100, 152):
+        estimate_grid(base_cfg(bs_density=0.0, n_trials=n), (9000.0,), FOUR[:1], workers=1)
+        in_process = blocks[:]
         blocks.clear()
-        serial_pool.spans.clear()
+        serial_pool.tasks.clear()
         estimate_grid(base_cfg(bs_density=0.0, n_trials=n), (9000.0,), FOUR[:1], workers=workers)
-        chunks = serial_pool.spans[0] if serial_pool.spans else [(0, n)]
-        assert [t for trials in blocks for t in trials] == list(range(n)), n
-        for start, stop in chunks:
-            sizes = [len(trials) for trials in blocks if start <= trials.start < stop]
-            assert sum(sizes) == stop - start, (n, start)
-            if stop - start < block:
-                assert sizes == [stop - start], (n, start)
-            else:
-                assert all(block <= size < 2 * block for size in sizes), (n, sizes)
+        assert blocks == in_process, n
+        blocks.clear()
+        assert [t for trials in in_process for t in trials] == list(range(n)), n
+        sizes = [len(trials) for trials in in_process]
+        if n < block:
+            assert sizes == [n]
+        else:
+            assert all(block <= size < 2 * block for size in sizes), (n, sizes)
+        for tasks in serial_pool.tasks:
+            edges = [trials.start for trials in in_process] + [n]
+            assert [e for task in tasks for e in task[:-1]] + [n] == edges, n
+            assert all(task[-1] - task[0] >= block for task in tasks), (n, tasks)
         if n == 50:
-            assert len(blocks) == 1
-    assert serial_pool.spans == ([[(s, min(s + block, 152)) for s in range(0, 152, block)]] if workers == 2 else [])
+            assert len(in_process) == 1
+    assert serial_pool.tasks == ([[[0, 38], [38, 76], [76, 114], [114, 152]]] if workers == 2 else [])
 
 
 def test_radius_outside_sim_radius_rejected():

@@ -1,5 +1,6 @@
 from dataclasses import replace
 import math
+from pathlib import Path
 import re
 import textwrap
 
@@ -13,6 +14,8 @@ from disastersim.netsim import ScenarioConfig, ScenarioError
 from disastersim.planner import TradeoffWeights
 from disastersim.satwet import ChargingModel, SatWetParams
 from disastersim.scenario import load_scenario
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL_SILENCING = """
 name: unit
@@ -276,13 +279,13 @@ def test_wrong_type_rejected(tmp_path):
 
 
 def test_reference_scenarios_validate():
-    fig5 = load_scenario("scenarios/paper_fig5.yaml")
+    fig5 = load_scenario(ROOT / "scenarios" / "paper_fig5.yaml")
     assert fig5.silencing is not None
     assert fig5.silencing.config.n_trials == 100_000
     assert fig5.silencing.sweep is not None
-    fig4 = load_scenario("scenarios/paper_fig4.yaml")
+    fig4 = load_scenario(ROOT / "scenarios" / "paper_fig4.yaml")
     assert fig4.satwet is not None
-    acb = load_scenario("scenarios/acb_example.yaml")
+    acb = load_scenario(ROOT / "scenarios" / "acb_example.yaml")
     assert acb.acb is not None
 
 
@@ -419,10 +422,10 @@ def test_null_key_reads_as_omitted(tmp_path, section, key):
     assert cli._manifest_entries(null, "silencing-run") == cli._manifest_entries(omitted, "silencing-run")
 
 
-def documented_defaults(path="docs/scenario_schema.md") -> dict[str, str]:
+def documented_defaults(path=ROOT / "docs" / "scenario_schema.md") -> dict[str, str]:
     """Key -> default cell of every schema table row whose default is a number."""
     out = {}
-    for line in open(path, encoding="utf-8"):
+    for line in path.read_text(encoding="utf-8").splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
         if len(cells) >= 3 and cells[0].startswith("`"):
             number = re.match(r"-?\d[\d.]*(e[+-]\d+)?", cells[2])
