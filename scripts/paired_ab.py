@@ -14,9 +14,12 @@ make, with 1 worker:
 Each of 40 pairs times both trees once, in alternating order, after 3
 warm-up calls per tree. For each call the script prints each tree's median
 time, the quartiles and median of the paired ratio head / base, in how many
-pairs head was faster, and each tree's median minor page faults per call
-(getrusage ru_minflt). It also checks that both trees return equal
-results, and exits 1 if they differ. Only the standard library and the
+pairs head was faster, each tree's median minor page faults per call
+(getrusage ru_minflt), and each tree's peak of memory allocated during
+one call (tracemalloc, which NumPy reports its arrays to; taken on one
+more, untimed call per tree after the pairs, because tracing slows every
+allocation). It also checks that both trees return equal results, and
+exits 1 if they differ. Only the standard library and the
 package's own dependencies are used.
 
 Both trees run in one process, so a change that acts on the whole process
@@ -41,6 +44,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,6 +97,17 @@ def timed(call) -> tuple[float, int]:
     return time.perf_counter() - t0, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0
 
 
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of one call; tracemalloc counts only
+    what is allocated while it traces."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="root of the baseline checkout")
@@ -117,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
                 seconds, minflt = timed(trees[side][call])
                 times[side].append(seconds)
                 faults[side].append(minflt)
+        peaks = {side: traced_peak(trees[side][call]) for side in ("base", "head")}
         ratios = [h / b for b, h in zip(times["base"], times["head"])]
         wins = sum(h < b for b, h in zip(times["base"], times["head"]))
         q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
@@ -125,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
             f"head median {statistics.median(times['head']) * 1e3:.2f} ms; head/base ratio median {median:.3f} "
             f"(q1 {q1:.3f}, q3 {q3:.3f}); head faster in {wins}/{PAIRS} pairs; "
             f"minor faults per call, median: base {statistics.median(faults['base']):.0f}, "
-            f"head {statistics.median(faults['head']):.0f}; results {'equal' if same else 'DIFFER'}"
+            f"head {statistics.median(faults['head']):.0f}; traced peak per call: base {peaks['base'] / 2**20:.2f} MB, "
+            f"head {peaks['head'] / 2**20:.2f} MB; results {'equal' if same else 'DIFFER'}"
         )
     return 1 if differ else 0
 

@@ -29,19 +29,25 @@ trial once and scores every point from that one realization.
 
 Interference has one summation order, shared by the engine and by the
 reference kernels uplink_sinr / downlink_sinr. Every sum is sequential,
-each term added to the sum of the ones before it (_prefix_sums), over the
-stations of one group in station order:
+each term added to the sum of the ones before it, over the stations of
+one group in station order:
 
     I_inner  the disaster- and ring-zone stations, first to last
     I_outer  the outer-zone stations, last to first (from the far edge in)
     I_sil    the silencing-zone stations at full power, first to last
 
 and I_fix = I_inner + I_outer. A policy with power factor f then sees
-I_fix + f * I_sil. The zero-term rule, of the engine and the kernels
-alike: every station of a group gets a term, +0.0 if it does not
-interfere. Terms are never negative and a sequential sum does not change
-when a +0.0 term is added, so a sum over zero-padded rows or over terms
-zeroed by a mask has the bits of the sum over the interferers alone.
+I_fix + f * I_sil. Every sum is a column sum (_column_sums): the terms
+stand in rows, one column per trial, and np.add.reduce along axis 0 adds
+them row after row. NumPy sums pairwise only along the fast axis
+(numpy.sum, Notes), so over the rows of a C-contiguous array with two or
+more columns every column's sum is sequential; a lone column is itself
+the fast axis, so its sum is the last running sum of np.add.accumulate.
+The zero-term rule, of the engine and the kernels alike: every station of a
+group gets a term, +0.0 if it does not interfere. Terms are never
+negative and a sequential sum does not change when a +0.0 term is added,
+so a sum over zero-padded rows or over terms zeroed by a mask has the
+bits of the sum over the interferers alone.
 
 One function, _tally, scores both links in the engine: it tests signal /
 (I_fix + f * I_sil + N) >= tau at every f from one pair of sums per trial,
@@ -70,30 +76,35 @@ k = max(1, n // _BLOCK) blocks, with edges at n * i // k, so every block
 holds _BLOCK to 2 * _BLOCK - 1 trials, and fewer than _BLOCK trials are
 one smaller block. The blocks depend on n alone, never on the worker
 count, and a pool task is a run of whole blocks. Per trial, the engine
-calls _sample_trial and draws the fading, resetting each stream once,
-and the stations' fading lands in place in the block's arrays.
-Everything else runs once per block, on the block's stations
-concatenated into ragged arrays: it places the stations, counts each trial's silencing-zone
-stations at every radius, computes distances (2-D in a block without an
-aerial tier, where every altitude is 0.0 and would add +0.0), path gains
-and the full-power received terms, and finds each trial's serving station
-as the first index of its segment minimum (np.minimum.reduceat). A
-station's radius is the one placement computed (_Block.radius), and the
-silencing zone at r_s is the exterior stations with radius <= r_s, the
-outer zone the rest. A trial's exterior stations are contiguous and their
-radius never decreases (see geometry._radial_radius), so its silencing
-zone is a prefix of its exterior row: one forward and one backward prefix
-sum over that row give I_sil and I_outer at every radius (_trial_sums).
-The uplink's terms do not depend on the radius, so it sums once per block
-for every radius. Every policy is then scored from the sums at once. A
-block pays a fixed scoring cost, which a larger block spreads over more
-trials, but every batched array, and so peak memory, grows with it; so
-_BLOCK is a small constant, 32 trials, and no block exceeds 63, so a
-block's arrays at most about double.
-Each trial is its own row of every block array, so no count depends on
-the block size. The first _count_blocks call in a process tells the C
-allocator to keep the heap it frees (_keep_freed_heap), so later blocks
-and calls reuse their pages instead of faulting them back in.
+calls _sample_trial and draws the fading, resetting each stream once.
+Everything else runs once per block, on the block's stations laid out
+station-major and zero-padded (_Block): every per-station array is
+(S, n_trials), and a trial's column holds its stations in station order,
+its inner ones ending at row split and its exterior ones starting there.
+Placement writes each station to its entry directly; the stations'
+fading is drawn in place into a trial-major buffer, where a trial's
+stations are one run, and copied once, transposed, per link. Per-trial values (device, user, serving station)
+are broadcast down the columns. Distances are 2-D in a block without an
+aerial tier, where every altitude is 0.0 and would add +0.0. A trial's
+serving station is np.argmin(axis=0) over distances set to inf off its
+candidates (_serving): the first minimum, so the lowest station index on
+a tie, as in the kernels. A station's radius is the one placement
+computed (_Block.radius), and the silencing zone at r_s is the exterior
+stations with radius <= r_s, the outer zone the rest. Each group's sum
+is one _column_sums call over terms masked to 0.0 off its interferers:
+the inner rows in order, the silencing-zone rows in order and the
+outer-zone rows in a reversed copy (_sums). A group without interferers
+by construction (I_fix when only the silencing zone transmits, I_sil
+when it does not transmit) is not summed and reads 0.0. Every policy is
+then scored from the sums at once. A block pays a fixed scoring cost,
+which a larger block spreads over more trials, but every batched array,
+and so peak memory, grows with it; so _BLOCK is a small constant, 32
+trials, and no block exceeds 63, so a block's arrays at most about
+double. Each trial is its own column of every block array, so no count
+depends on the block size. The first _count_blocks call in a process
+tells the C allocator to keep the heap it frees (_keep_freed_heap), so
+later blocks and calls reuse their pages instead of faulting them back
+in.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
@@ -109,8 +120,8 @@ from __future__ import annotations
 
 import ctypes
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import lru_cache
+from itertools import groupby, repeat
 import math
 import sys
 from typing import NamedTuple
@@ -401,7 +412,7 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
 _DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
 _INNER_TIERS = np.arange(_EXTERIOR, dtype=np.int8)
 _UNIFORMS_PER_STATION = (3, 2, 2)  # per station of an inner tier: radius and angle fractions, disaster survival mark
-_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER], dtype=np.int8)  # per inner tier
+_TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)  # per tier
 
 
 class _Plan(NamedTuple):
@@ -481,16 +492,20 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
         trial_rng(cfg.master_seed, trial_index, STREAM_EXTERIOR),
     )
     block = _place_block(cfg, draws)
-    n = block.zone.size
-    block.zone[block.exterior & (block.radius <= cfg.silencing_radius)] = Zone.SILENCING
+    stations = slice(block.split - int(block.n_inner[0]), None)  # the trial's column, without padding
+    x, y, alt, tx, alive, radius = (a[stations, 0] for a in (block.x, block.y, block.alt, block.tx, block.alive,
+                                                             block.radius))
+    zone = np.repeat(_TIER_ZONE, draws.sizes)
+    zone[(zone == Zone.OUTER) & (radius <= cfg.silencing_radius)] = Zone.SILENCING
+    n = zone.size
     return NetworkSnapshot(
-        xy=np.column_stack((block.x, block.y)),
-        zone=block.zone,
-        altitude=block.alt,
-        tx_power=block.tx,
+        xy=np.column_stack((x, y)),
+        zone=zone,
+        altitude=alt,
+        tx_power=tx,
         power_factor=np.ones(n),
         band=np.full(n, Band.DISASTER_BAND, dtype=np.int8),
-        alive=block.alive,
+        alive=alive,
         device_xy=block.device[0],
     )
 
@@ -520,18 +535,21 @@ def _distance(x, y, px, py, z=None, pz=0.0) -> np.ndarray:
     return np.sqrt((x - px) ** 2 + (y - py) ** 2 + (z - pz) ** 2)
 
 
-def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """Sequential prefix sums along the last axis, the one summation order of
-    every interference sum: out[..., k] is the sum of the first k terms,
-    added first to last, and out[..., 0] is 0.0.
+def _column_sums(rows: np.ndarray) -> np.ndarray:
+    """Each column's sequential sum, first row to last, the one summation
+    order of every interference sum; 0.0 for a column without rows.
 
-    Each sum adds one term to the sum before it, so it has one result
-    whatever the array's shape or NumPy's dispatch, and the zero-term rule
-    (module docstring) holds.
+    np.add.reduce along axis 0 of a C-contiguous array with two or more
+    columns adds each row to the running sums, one term per column at a
+    time; a view in another memory order is copied first. A lone column
+    is itself the fast axis, which NumPy sums pairwise (numpy.sum, Notes:
+    pairwise summation is used only along the fast axis), so its sum is
+    the last running sum of np.add.accumulate instead. The zero-term rule
+    (module docstring) holds for every sum.
     """
-    out = np.zeros((*terms.shape[:-1], terms.shape[-1] + 1))
-    terms.cumsum(axis=-1, out=out[..., 1:])
-    return out
+    if rows.shape[1] == 1 and rows.shape[0]:
+        return np.add.accumulate(rows, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(rows), axis=0)
 
 
 def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: np.ndarray,
@@ -544,7 +562,7 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     + I_outer. I_inner sums the disaster- and ring-zone terms first to
     last, I_outer the outer-zone terms last to first (from the far edge
     inward), and I_sil the silencing-zone terms first to last, each with
-    _prefix_sums. The silencing engine sums the same groups in the same
+    _column_sums. The silencing engine sums the same groups in the same
     order, so both give the same bits.
     """
     sil, outer = net.zone == Zone.SILENCING, net.zone == Zone.OUTER
@@ -555,7 +573,7 @@ def _grouped_interference(net: NetworkSnapshot, ch: ChannelParams, interferers: 
     gains = _clamped_path_gain(_distance(*net.xy.T, *point_xy, net.altitude, point_alt), ch)
     terms = np.where(interferers, np.where(sil, 1.0, net.power_factor) * net.tx_power * bs_fading * gains, 0.0)
     i_inner, i_outer, i_sil = (
-        _prefix_sums(group)[-1] for group in (terms[~(sil | outer)], terms[outer][::-1], terms[sil])
+        _column_sums(group[:, None])[0] for group in (terms[~(sil | outer)], terms[outer][::-1], terms[sil])
     )
     return float(i_inner + i_outer + f * i_sil)
 
@@ -682,14 +700,14 @@ def downlink_trial(
 # Least trials per block of the silencing engine: estimate_grid cuts n
 # trials into max(1, n // _BLOCK) near-equal blocks of _BLOCK to
 # 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
-# scoring cost (on the fig5 sweep grid, 7 _tally, 7 _nearest and 4
-# _distance calls whatever its size) for a few trials. A block's stations,
-# about 500 per trial on paper_fig5, are scored as one set of ragged
-# arrays. Every temporary array of a block grows with it, and so does the
-# engine's peak RSS, so the block is a small constant rather than an
-# option: 32 halves the blocks of 16 for about 1.4 MB, and 64 ran within
-# the noise of 32 for 1.4-2.2 MB more. No block exceeds 63 trials, so a
-# block's arrays at most about double those of 32. No count depends on it.
+# scoring cost (its NumPy calls, whatever its size) for a few trials. A
+# block's stations, about 500 per trial on paper_fig5, are scored as one
+# set of padded arrays. Every temporary array of a block grows with it,
+# and so does the engine's peak RSS, so the block is a small constant
+# rather than an option: 32 halves the blocks of 16 for about 1.4 MB, and
+# 64 ran within the noise of 32 for 1.4-2.2 MB more. No block exceeds 63
+# trials, so a block's arrays at most about double those of 32. No count
+# depends on it.
 _BLOCK = 32
 
 # estimate_grid forks at most one worker per this many trials: forking and
@@ -731,70 +749,52 @@ def _keep_freed_heap() -> None:
 
 @dataclass
 class _Block:
-    """The realizations of consecutive trials as ragged station arrays.
+    """The realizations of consecutive trials, station-major and zero-padded.
 
-    Trial i owns entries bounds[i]:bounds[i + 1], ordered as its draws:
-    [disaster, ring, aerial, exterior by ascending radius], so its last
-    n_exterior[i] stations are its exterior ones.
+    Every per-station array is (S, n_trials), and column t holds trial t's
+    stations in its draw order: its inner ones (disaster, ring, aerial) end
+    at row split, and its exterior ones, by ascending radius, start there.
+    split is the largest inner count, at least 1 so that every argmin has a
+    row, and S is split plus the largest exterior count. A row that holds
+    none of a trial's stations is padding: never alive, at radius 0.0 and
+    (0, 0), with fading 0.0.
     """
 
-    bounds: np.ndarray  # (n_trials + 1,)
-    zone: np.ndarray  # (n,) int8, Zone.DISASTER, ACTIVE_RING or OUTER: exterior stations are OUTER at every radius
-    x: np.ndarray  # (n,) m
-    y: np.ndarray  # (n,) m
-    alt: np.ndarray  # (n,) m, 0 for terrestrial stations
-    tx: np.ndarray  # (n,) W
-    alive: np.ndarray  # (n,) bool
-    exterior: np.ndarray  # (n,) bool, silencing or outer zone
-    radius: np.ndarray  # (n,) m, planar radius from placement; never decreasing along a trial's exterior
-    device: np.ndarray  # (n_trials, 2) m
+    split: int
     n_inner: np.ndarray  # (n_trials,) disaster, ring and aerial stations
     n_exterior: np.ndarray  # (n_trials,)
+    x: np.ndarray  # (S, n_trials) m
+    y: np.ndarray  # (S, n_trials) m
+    alt: np.ndarray  # (S, n_trials) m, 0 for terrestrial stations
+    tx: np.ndarray  # (S, n_trials) W
+    alive: np.ndarray  # (S, n_trials) bool
+    radius: np.ndarray  # (S, n_trials) m, planar radius from placement
+    device: np.ndarray  # (n_trials, 2) m
     flying: bool  # the configuration has an aerial tier, so altitudes may be nonzero
-    up_fading: tuple | None = None  # (device link (n_trials,), stations (n,)); set by _sample_block
+    up_fading: tuple | None = None  # (device link (n_trials,), stations (S, n_trials)); set by _sample_block
     down_draws: tuple | None = None  # (user radius and angle fractions (2, n_trials), user link, stations)
 
     @property
     def n_trials(self) -> int:
-        return self.bounds.size - 1
+        return self.device.shape[0]
 
-    @cached_property
-    def owner(self) -> np.ndarray:
-        """(n,) each station's trial."""
-        return np.repeat(np.arange(self.n_trials), np.diff(self.bounds))
-
-    def spread(self, per_trial: np.ndarray) -> np.ndarray:
-        """A per-trial array with each entry repeated for every station of its trial."""
-        return per_trial[self.owner]
-
-    def distance(self, px, py, stations=slice(None)) -> np.ndarray:
-        """_distance from the stations to ground points (px, py); 2-D when no
-        station flies, which has the bits of the 3-D distance at altitude 0."""
-        z = self.alt[stations] if self.flying else None
-        return _distance(self.x[stations], self.y[stations], px, py, z)
-
-    def distance_to(self, src: np.ndarray) -> np.ndarray:
-        """_distance from each station i to station src[i]; 2-D when no
-        station flies, as distance."""
-        x, y = self.x, self.y
-        if not self.flying:
-            return _distance(x, y, x[src], y[src])
-        return _distance(x, y, x[src], y[src], self.alt, self.alt[src])
-
-    def silencing_counts(self, radii) -> np.ndarray:
-        """(n_trials, len(radii)): how many of each trial's exterior stations
-        are in the silencing zone, radius <= r_s, at each radius r_s.
-
-        radius never decreases along a trial's exterior stations, so these
-        are its first that many, and I_sil and I_outer are prefix sums of
-        its exterior row (see _trial_sums).
-        """
-        owner, radius = self.owner[self.exterior], self.radius[self.exterior]
-        return np.array([np.bincount(owner[radius <= r_s], minlength=self.n_trials) for r_s in radii]).T
+    def distance(self, px, py, pz=0.0, rows=slice(None)) -> np.ndarray:
+        """_distance from the stations in rows to each trial's point (px, py,
+        pz), per-trial values broadcast down the columns; 2-D when no station
+        flies, which has the bits of the 3-D distance at altitude 0."""
+        z = self.alt[rows] if self.flying else None
+        return _distance(self.x[rows], self.y[rows], px, py, z, pz)
 
 
 def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def _padded(shape: tuple[int, int], at: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """An array of the shape, zero (or False) but for values at its flat entries at."""
+    out = np.zeros(shape, dtype=values.dtype)
+    out.reshape(-1)[at] = values
+    return out
 
 
 def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
@@ -802,10 +802,11 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
 
     Every step runs once over the whole block, with no walk over its
     trials: the tier sizes locate each inner station's uniforms in the
-    concatenated tier draws and its place in the block, the exterior
-    stations are placed from the concatenated arrivals, and cos and sin
-    run once over every station. Placement is elementwise, so every station
-    gets the bits it would get placed on its own.
+    concatenated tier draws, the exterior stations are placed from the
+    concatenated arrivals, cos and sin run once over every station, and
+    the run lengths give each station's entry in the block, where it is
+    written. Placement is elementwise, so every station gets the bits it
+    would get placed on its own.
     """
     disaster_region, ring_region, exterior_region = _regions(
         cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
@@ -814,59 +815,50 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     n_trials = sizes.shape[0]
     counts = sizes[:, :_EXTERIOR]
     n_inner, n_exterior = counts.sum(axis=1), sizes[:, _EXTERIOR]
-    bounds = np.zeros(n_trials + 1, dtype=np.intp)
-    np.cumsum(n_inner + n_exterior, out=bounds[1:])
-    n = int(bounds[-1])
+    split = max(1, int(n_inner.max()))
+    shape = (split + int(n_exterior.max()), n_trials)
 
-    # The inner stations, trial by trial and tier by tier as the block
-    # orders them. A tier of c stations drew its c radius fractions, then
-    # c angle fractions and, in the disaster tier, c survival marks.
+    # The stations in the order their draws are concatenated: the inner
+    # ones trial by trial, tier by tier, then the exterior ones trial by
+    # trial. A tier of c stations drew its c radius fractions, then c angle
+    # fractions and, in the disaster tier, c survival marks.
     following = (counts * (np.array(_UNIFORMS_PER_STATION) - 1)).ravel()  # uniforms after the radius fractions
     counts = counts.ravel()
-    rank = np.arange(counts.sum())
+    n = int(counts.sum())  # inner stations; the exterior ones follow
     per_tier = np.repeat(counts, counts)
-    u_radius = rank + np.repeat(np.cumsum(following) - following, counts)  # into the concatenated tier draws
+    u_radius = np.arange(n) + np.repeat(np.cumsum(following) - following, counts)
     u_angle = u_radius + per_tier
     inner_tier = np.repeat(np.tile(_INNER_TIERS, n_trials), counts)
-    slot = rank + np.repeat(np.cumsum(n_exterior) - n_exterior, n_inner)  # the station's place in the block
-
-    zone = np.full(n, Zone.OUTER, dtype=np.int8)
-    zone[slot] = _TIER_ZONE[inner_tier]
-    exterior = zone == Zone.OUTER
-    radius, angle = np.empty(n), np.empty(n)
-    radius[exterior] = geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure))
-    angle[exterior] = _concatenate(draws.angles)
     uniforms = _concatenate(draws.tiers)
     fractions, ring = uniforms[u_radius], inner_tier == _RING
-    radius[slot[ring]] = geometry._annulus_radius(ring_region, fractions[ring])
-    radius[slot[~ring]] = geometry._annulus_radius(disaster_region, fractions[~ring])  # disaster and aerial
-    angle[slot] = uniforms[u_angle]
-    x, y = geometry._polar_to_xy(radius, angle)
+    exterior = geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure))
+    radius = np.concatenate((np.empty(n), exterior))
+    radius[:n][ring] = geometry._annulus_radius(ring_region, fractions[ring])
+    radius[:n][~ring] = geometry._annulus_radius(disaster_region, fractions[~ring])  # disaster and aerial
+    x, y = geometry._polar_to_xy(radius, np.concatenate((uniforms[u_angle], *draws.angles)))
+    alive_inner = np.ones(n, dtype=bool)
+    disaster = inner_tier == _DISASTER
+    alive_inner[disaster] = uniforms[(u_angle + per_tier)[disaster]] < cfg.bs_survival_prob
     u_device = np.array(draws.device)
     device = np.column_stack(geometry._place(disaster_region, u_device[:, 0], u_device[:, 1]))
 
-    disaster = inner_tier == _DISASTER
-    alive = np.ones(n, dtype=bool)
-    alive[slot[disaster]] = uniforms[(u_angle + per_tier)[disaster]] < cfg.bs_survival_prob
-    alt, tx = np.zeros(n), np.full(n, cfg.bs_tx_power)
+    # Each station's entry in the flattened (S, n_trials) arrays, row *
+    # n_trials + trial: trial t's inner stations end at row split, its
+    # exterior ones start there. A run is one trial's inner or exterior
+    # stations, and a station's entry is its run's first entry plus its
+    # rank in the run times n_trials.
+    trials, lengths = np.arange(n_trials), np.concatenate((n_inner, n_exterior))
+    first = np.concatenate(((split - n_inner) * n_trials + trials, split * n_trials + trials))
+    at = np.repeat(first - (np.cumsum(lengths) - lengths) * n_trials, lengths)
+    at += np.arange(0, radius.size * n_trials, n_trials)
+    x, y, radius = (_padded(shape, at, values) for values in (x, y, radius))
+    inner, alive = at[:n], radius > 0.0  # exterior stations lie beyond the ring edge, padding at radius 0.0
+    alive.reshape(-1)[inner] = alive_inner
+    alt, tx = np.zeros(shape), np.full(shape, cfg.bs_tx_power)
     if cfg.aerial is not None:
-        aerial = slot[inner_tier == _AERIAL]
-        alt[aerial], tx[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
-    return _Block(
-        bounds=bounds,
-        zone=zone,
-        x=x,
-        y=y,
-        alt=alt,
-        tx=tx,
-        alive=alive,
-        exterior=exterior,
-        radius=radius,
-        device=device,
-        n_inner=n_inner,
-        n_exterior=n_exterior,
-        flying=cfg.aerial is not None,
-    )
+        aerial = inner[inner_tier == _AERIAL]
+        alt.reshape(-1)[aerial], tx.reshape(-1)[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
+    return _Block(split, n_inner, n_exterior, x, y, alt, tx, alive, radius, device, cfg.aerial is not None)
 
 
 def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, downlink: bool) -> _Block:
@@ -874,11 +866,13 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
     draws of uplink_trial and, if downlink, downlink_trial.
 
     Each Philox stream is reset once per trial and draws the reference's
-    numbers in order. The stations' fading is written in place into the
-    block's arrays by standard_exponential(out=...), which draws the numbers
-    of exponential(size=n): exponential multiplies each by its scale, 1.0.
-    downlink_trial resets its stream at every silencing radius and so draws
-    the same user fractions and fading at each; they are drawn once.
+    numbers in order. The stations' fading is drawn trial-major, where a
+    trial's stations are one run of a row, by standard_exponential(out=...),
+    which draws the numbers of exponential(size=n): exponential multiplies
+    each by its scale, 1.0. One transposed copy per link then lays it out
+    as the block. downlink_trial resets its stream at every silencing
+    radius and so draws the same user fractions and fading at each; they
+    are drawn once.
     """
     plan = _plan(cfg)
     draws = _Draws([], [], [], [], [])
@@ -892,76 +886,58 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
         angles += trial.angles
     block = _place_block(cfg, draws)
 
-    n_trials, bounds = block.n_trials, block.bounds.tolist()
-    up_g, up_h = np.empty(n_trials), np.empty(bounds[-1])
+    n_trials, n_rows = block.n_trials, block.x.shape[0]
+    first, last = (block.split - block.n_inner).tolist(), (block.split + block.n_exterior).tolist()
+    up_g, up_h = np.empty(n_trials), np.zeros((n_trials, n_rows))
     if downlink:
-        user_u, down_g, down_h = np.empty((n_trials, 2)), np.empty(n_trials), np.empty(bounds[-1])
+        user_u, down_g, down_h = np.empty((n_trials, 2)), np.empty(n_trials), np.zeros((n_trials, n_rows))
     for i, t in enumerate(trials):
-        stations = slice(bounds[i], bounds[i + 1])
+        stations = slice(first[i], last[i])
         stream = streams.get(t, STREAM_UPLINK)
         up_g[i] = stream.exponential()
-        stream.standard_exponential(out=up_h[stations])
+        stream.standard_exponential(out=up_h[i, stations])
         if downlink:
             stream = streams.get(t, STREAM_DOWNLINK)
             stream.random(out=user_u[i])  # downlink_trial's user: radius, then angle fraction
             down_g[i] = stream.exponential()
-            stream.standard_exponential(out=down_h[stations])
-    block.up_fading = up_g, up_h
+            stream.standard_exponential(out=down_h[i, stations])
+    block.up_fading = up_g, up_h.T.copy()
     if downlink:
-        block.down_draws = user_u.T, down_g, down_h
+        block.down_draws = user_u.T, down_g, down_h.T.copy()
     return block
 
 
-def _nearest(bounds: np.ndarray, candidates: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Per trial (stations bounds[i]:bounds[i + 1]), the candidate nearest to
-    the trial's point, given ascending candidate indices and their
-    distances d; the lowest index on a tie, as np.argmin picks it, and -1
-    for a trial without candidates."""
-    ends = np.searchsorted(candidates, bounds)
-    sizes = np.diff(ends)
-    nonempty = sizes > 0
-    nearest = np.full(bounds.size - 1, -1)
-    # reduceat gives a wrong value for an empty segment, so only nonempty ones
-    starts = ends[:-1][nonempty]
-    if starts.size:
-        best = np.minimum.reduceat(d, starts)
-        tied = d == np.repeat(best, sizes[nonempty])
-        nearest[nonempty] = np.minimum.reduceat(np.where(tied, candidates, bounds[-1]), starts)
-    return nearest
+def _serving(d: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, served): per column of d, the row of the smallest distance
+    among the rows marked on, and whether there is one (row 0 if not).
+    np.argmin returns the first minimum, so a tie goes to the lowest
+    station index, as np.argmin over a snapshot's candidates does."""
+    masked = np.where(on, d, np.inf)
+    rows = masked.argmin(axis=0)
+    return rows, masked[rows, np.arange(d.shape[1])] < np.inf
 
 
-def _windows(values: np.ndarray, width: int) -> np.ndarray:
-    """A view of a contiguous 1-D array's windows, each sharing its memory:
-    row i is values[i:i + width]."""
-    return np.ndarray((values.size - width + 1, width), values.dtype, values, strides=values.strides * 2)
+def _sums(kept: np.ndarray, split: int, sil: np.ndarray, fixed_on: bool = True, silenced_on: bool = True):
+    """(I_fix, I_sil) per trial, from a block's terms with 0.0 for every
+    station that does not interfere (kept) and the silencing-zone mask of
+    its exterior rows (sil).
 
-
-def _trial_sums(block: _Block, terms: np.ndarray, on: np.ndarray, inside: np.ndarray):
-    """(I_fix, I_sil) per trial over terms[on], with inside[t, k] of trial
-    t's exterior stations in the silencing zone at radius k; two
-    (n_trials, k) arrays.
-
-    The kept terms, and 0.0 for the others, are laid out in rows, one per
-    trial and group, and one _prefix_sums call sums each group's rows: the
-    trial's inner stations (I_inner is the sum of all of them), its
-    exterior stations (I_sil is the sum of the first inside[t, k]), and its
-    exterior stations from the last to the first (I_outer is the sum of the
-    rest, from the far edge inward). A row may run on into other trials'
-    terms or the zero padding; no sum reads them. These are
-    _grouped_interference's sums.
+    I_inner sums the rows above split, I_sil the silencing-zone rows first
+    to last, and I_outer the other exterior rows last to first, each with
+    _column_sums; I_fix = I_inner + I_outer. These are
+    _grouped_interference's sums. A group that holds no interferer by
+    construction is not summed and reads 0.0, the bits of a sum of +0.0
+    terms: I_fix when only the silencing zone transmits (not fixed_on),
+    I_sil when it does not transmit (not silenced_on).
     """
-    n_inner, outside = block.n_inner[:, None], block.n_exterior[:, None] - inside
-    pad = max(1, n_inner.max(), block.n_exterior.max())  # the longest row
-    kept = np.zeros(terms.size + 2 * pad)
-    np.copyto(kept[pad:pad + terms.size], terms, where=on)
-    rows = _windows(kept, pad)  # rows[pad + i] starts at station i
-    trials = np.arange(block.n_trials)[:, None]
-    inner = rows[pad + block.bounds[:-1], :n_inner.max()]
-    exterior = rows[pad + block.bounds[1:] - block.n_exterior, :inside.max()]
-    reverse = rows[block.bounds[1:], pad - outside.max():][:, ::-1]  # from each trial's last station back
-    i_inner = _prefix_sums(inner)[trials, n_inner]
-    i_outer = _prefix_sums(reverse)[trials, outside]
-    return i_inner + i_outer, _prefix_sums(exterior)[trials, inside]
+    exterior = kept[split:]
+    i_fix = i_sil = 0.0
+    if silenced_on:
+        i_sil = _column_sums(exterior * sil if fixed_on else exterior)
+    if fixed_on:
+        outer = exterior[::-1] * ~sil[::-1] if silenced_on else exterior[::-1]
+        i_fix = _column_sums(kept[:split]) + _column_sums(outer)
+    return i_fix, i_sil
 
 
 def _band_factors(policy: SilencingPolicy, downlink: bool) -> tuple[float, float]:
@@ -975,84 +951,78 @@ def _band_factors(policy: SilencingPolicy, downlink: bool) -> tuple[float, float
     return 1.0, policy.silencing_power_factor
 
 
-def _tally(ch: ChannelParams, block: _Block, serving: np.ndarray, signal: np.ndarray, terms: np.ndarray,
-           on: np.ndarray, inside: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """One link's (successes, holes) at every radius of inside and every
-    silencing-zone power factor f, an (n_radii, n_factors, 2) array.
+def _tally(ch: ChannelParams, signal: np.ndarray, i_fix, i_sil, factors: np.ndarray) -> np.ndarray:
+    """One link's (successes, holes) at every silencing-zone power factor
+    f, and at every radius where the sums have a radius axis: a (2, ...,
+    n_factors) array.
 
-    serving[t] is trial t's serving station or -1, and signal broadcasts
-    against the (served trial, radius, factor) axes. on marks the
-    stations that transmit on the link's band, and the servers are cleared
-    from it. A trial succeeds when signal / (I_fix + f * I_sil + N) >= tau:
-    x / 0 is inf, which passes, and 0 / 0 is nan, which does not. That
-    trial is a hole, as is one without a server (see _sinr).
+    Trials are the last axis of signal and of the sums (or a sum is 0.0,
+    see _sums), and signal is nan for a trial without a server. A trial
+    succeeds when signal / (I_fix + f * I_sil + N) >= tau: x / 0 is inf,
+    which passes, and 0 / 0 is nan, which does not. That trial is a hole,
+    as is one without a server (see _sinr).
     """
-    served = serving >= 0
-    on[serving[served]] = False
-    i_fix, i_sil = (sums[served][:, :, None] for sums in _trial_sums(block, terms, on, inside))
-    denom = i_fix + factors * i_sil + ch.noise_power
-    successes = (signal / denom >= ch.sinr_threshold).sum(axis=0)
-    holes = block.n_trials - np.count_nonzero(served) + ((denom == 0.0) & (signal == 0.0)).sum(axis=0)
-    return np.array((successes, holes)).transpose(1, 2, 0)  # np.stack(..., axis=-1), at a third of the cost
+    denom = i_fix + factors[:, None] * i_sil + ch.noise_power
+    successes = (signal / denom >= ch.sinr_threshold).sum(axis=-1)
+    holes = np.isnan(signal).sum(axis=-1) + ((denom == 0.0) & (signal == 0.0)).sum(axis=-1)
+    return np.array((successes, holes))
 
 
-def _count_uplink(cfg: ScenarioConfig, block: _Block, inside: np.ndarray, factors: np.ndarray, counts: np.ndarray):
-    """Add a block's uplink (successes, holes) to counts[radius, policy].
+def _count_uplink(cfg: ScenarioConfig, block: _Block, radii, factors: np.ndarray, counts: np.ndarray):
+    """Add a block's uplink (successes, holes) to counts[:, radius, policy].
 
-    inside[t, k] is trial t's silencing-zone station count at radius k, and
-    factors[j] policy j's silencing-zone power factor (_band_factors). The
-    serving station and the received terms depend on neither radius nor
-    policy, so they are found once per trial, and one _tally scores every
-    radius and policy.
+    factors[j] is policy j's silencing-zone power factor (_band_factors).
+    The serving station and the received terms depend on neither radius
+    nor policy, so they are found once per trial, and one _tally scores
+    every radius and policy.
     """
     ch = cfg.channel
     g, h = block.up_fading
-    candidates = np.flatnonzero(block.alive & ~block.exterior)
-    device = block.device[block.owner[candidates]]
-    d_device = block.distance(*device.T, stations=candidates)
-    serving = _nearest(block.bounds, candidates, d_device)
-    served = serving >= 0
-    d0 = d_device[np.searchsorted(candidates, serving[served])]
-    signal = (cfg.device_tx_power * g[served] * _clamped_path_gain(d0, ch))[:, None, None]
-    src = block.spread(np.maximum(serving, 0))  # a trial without a server is never scored
-    gains = _clamped_path_gain(block.distance_to(src), ch)
-    counts += _tally(ch, block, serving, signal, block.tx * h * gains, block.alive.copy(), inside, factors)
+    split, columns = block.split, np.arange(block.n_trials)
+    d = block.distance(*block.device.T, rows=slice(None, split))
+    rows, served = _serving(d, block.alive[:split])
+    src = rows, columns
+    signal = cfg.device_tx_power * np.where(served, g, np.nan) * _clamped_path_gain(d[src], ch)
+    gains = _clamped_path_gain(block.distance(block.x[src], block.y[src], block.alt[src]), ch)
+    kept = block.tx * h * gains * block.alive
+    kept[src] = 0.0  # the server does not interfere with itself
+    sums = [_sums(kept, split, block.radius[split:] <= r_s) for r_s in radii]
+    i_fix, i_sil = (np.array(s)[:, None] for s in zip(*sums))
+    counts += _tally(ch, signal, i_fix, i_sil, factors)
 
 
-def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, inside: np.ndarray, factors: np.ndarray,
-                    counts: np.ndarray):
-    """Add a block's silencing-area (successes, holes) at radius r_s to counts[policy].
+def _count_downlink(cfg: ScenarioConfig, block: _Block, r_s: float, groups, counts: np.ndarray):
+    """Add a block's silencing-area (successes, holes) at radius r_s to counts[:, policy].
 
-    inside[t, 0] is trial t's silencing-zone station count at r_s, and
-    factors[j] policy j's (other zones, silencing zone) power factors
-    (_band_factors). The user and the fading depend on the radius only, so
-    distances and gains to every station are found once per trial. The
-    serving station depends only on which stations transmit on the user's
-    band, so the policies that agree on that share one server and one
-    _tally; the stations that do not transmit add 0.0 to their sums.
+    Each of groups is (fixed_on, silenced_on, members, f): the transmit
+    pattern of the policies in the slice members, by whether their power
+    factors (other zones, silencing zone) are > 0 (_band_factors), and
+    their silencing-zone factors. The user and the fading depend on the
+    radius only, so distances and gains to every station are found once
+    per trial. The serving station depends only on which stations transmit
+    on the user's band, so each group shares one server and one _tally;
+    the stations that do not transmit add 0.0 to their sums.
     """
     ch = cfg.channel
     user_u, g, h = block.down_draws
-    user_x, user_y = geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1])
-    d = block.distance(block.spread(user_x), block.spread(user_y))
+    split, columns = block.split, np.arange(block.n_trials)
+    d = block.distance(*geometry._place(Annulus(cfg.ring_outer_radius, r_s), user_u[0], user_u[1]))
     gains = _clamped_path_gain(d, ch)
     full = block.tx * h * gains
-    sil = block.exterior & (block.radius <= r_s)
-    groups = {}
-    for j, (fixed, silenced) in enumerate(factors):
-        groups.setdefault((fixed > 0.0, silenced > 0.0), []).append(j)
-    for (fixed_on, silenced_on), members in groups.items():
-        # alive & where(sil, silenced_on, fixed_on); where with scalars is slower
-        on = block.alive & sil if not fixed_on else block.alive.copy()
+    sil = np.zeros(d.shape, dtype=bool)
+    np.less_equal(block.radius[split:], r_s, out=sil[split:])
+    for fixed_on, silenced_on, members, f in groups:
+        on = block.alive  # & where(sil, silenced_on, fixed_on)
+        if not fixed_on:
+            on = on & sil
         if not silenced_on:
-            on &= ~sil
-        candidates = np.flatnonzero(on)
-        serving = _nearest(block.bounds, candidates, d[candidates])
-        served = serving >= 0
-        s, f = serving[served], np.array([factors[j][1] for j in members])
-        signal = (np.where(sil[s][:, None, None], f, 1.0) * block.tx[s][:, None, None] * g[served][:, None, None]
-                  * gains[s][:, None, None])
-        counts[members] += _tally(ch, block, serving, signal, full, on, inside, f)[0]
+            on = on & ~sil
+        rows, served = _serving(d, on)
+        src = rows, columns
+        signal = np.where(sil[src], f[:, None], 1.0) * block.tx[src] * np.where(served, g, np.nan) * gains[src]
+        kept = full * on
+        kept[src] = 0.0
+        counts[:, members] += _tally(ch, signal, *_sums(kept, split, sil[split:], fixed_on, silenced_on), f)
 
 
 def _count_blocks(cfg: ScenarioConfig, radii, policies, downlink: bool, edges) -> np.ndarray:
@@ -1062,21 +1032,29 @@ def _count_blocks(cfg: ScenarioConfig, radii, policies, downlink: bool, edges) -
 
     Each block is sampled and scored as one; only the zone split depends
     on the radius, because exterior stations cover the whole
-    (ring, sim_radius) annulus.
+    (ring, sim_radius) annulus. The policies are counted in an order that
+    puts those of one downlink transmit pattern next to each other, so
+    each pattern adds to one slice of the counts.
     """
-    counts = np.zeros((len(radii), len(policies), 4), dtype=np.int64)
-    up_factors = np.array([_band_factors(p, downlink=False)[1] for p in policies])
     down_factors = [_band_factors(p, downlink=True) for p in policies]
+    pattern = [(fixed > 0.0, silenced > 0.0) for fixed, silenced in down_factors]
+    order = sorted(range(len(policies)), key=pattern.__getitem__)
+    groups, start = [], 0
+    for (fixed_on, silenced_on), run in groupby(order, key=pattern.__getitem__):
+        f = np.array([down_factors[j][1] for j in run])
+        groups.append((fixed_on, silenced_on, slice(start, start + f.size), f))
+        start += f.size
+    up_factors = np.array([_band_factors(policies[j], downlink=False)[1] for j in order])
+    counts = np.zeros((4, len(radii), len(policies)), dtype=np.int64)
     streams = _StreamPool(cfg.master_seed)
     _keep_freed_heap()
     with np.errstate(divide="ignore", invalid="ignore"):  # x / 0 and 0 / 0 are scored as such (_tally)
         for first, last in zip(edges, edges[1:]):
             block = _sample_block(cfg, streams, range(first, last), downlink)
-            inside = block.silencing_counts(radii)
-            _count_uplink(cfg, block, inside, up_factors, counts[:, :, :2])
+            _count_uplink(cfg, block, radii, up_factors, counts[:2])
             for k, r_s in enumerate(radii if downlink else ()):
-                _count_downlink(cfg, block, r_s, inside[:, k:k + 1], down_factors, counts[k, :, 2:])
-    return counts
+                _count_downlink(cfg, block, r_s, groups, counts[2:, k])
+    return counts[:, :, np.argsort(order)].transpose(1, 2, 0)
 
 
 def __getattr__(name: str):

@@ -45,3 +45,9 @@ def silencing_station(x, y, **kw):
 
 def outer_station(x, y, **kw):
     return {"x": x, "y": y, "zone": Zone.OUTER, **kw}
+
+
+def trial_rows(block, i: int) -> slice:
+    """The rows of a netsim block's column i that hold trial i's stations:
+    its inner stations end at block.split, its exterior ones start there."""
+    return slice(block.split - int(block.n_inner[i]), block.split + int(block.n_exterior[i]))

@@ -6,6 +6,7 @@ each and dominate the suite's runtime (a few minutes on one core).
 """
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from disastersim.satwet import (
 )
 from disastersim.scenario import load_scenario
 
-FIG5_SCENARIO = "scenarios/paper_fig5.yaml"
+FIG5_SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "paper_fig5.yaml"
 
 
 def report(criterion: str, detail: str):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import disaster_station, snapshot_from_stations
+from conftest import disaster_station, snapshot_from_stations, trial_rows
 from disastersim import geometry, netsim
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import Annulus, disk, sample_ppp
@@ -166,8 +166,8 @@ def test_radial_sampler_sorted_and_in_region():
     block, = exterior_blocks(cfg, 50)
     assert block.n_exterior.sum() > 1000
     for i in range(50):
-        lo, hi = block.bounds[i], block.bounds[i + 1]
-        r = block.radius[lo:hi][block.exterior[lo:hi]]
+        r = block.radius[trial_rows(block, i), i][block.n_inner[i]:]
+        assert r.size == block.n_exterior[i]
         assert np.all(np.diff(r) >= 0.0)
         assert np.all((r >= cfg.ring_outer_radius) & (r <= cfg.sim_radius))
 
@@ -206,10 +206,12 @@ def test_radial_sampler_uniform_angles_and_radius_law():
     cfg = ScenarioConfig(disaster_radius=700.0, active_ring_width=300.0, silencing_radius=2000.0,
                          sim_radius=3000.0, bs_density=2e-5, master_seed=31)
     block, = exterior_blocks(cfg, 20)
-    exterior = block.exterior
+    exterior = block.alive[block.split:]  # every exterior station, and no padding
     r_in, r_out = cfg.ring_outer_radius, cfg.sim_radius
-    r2 = (block.radius[exterior] ** 2 - r_in**2) / (r_out**2 - r_in**2)
-    turns = np.arctan2(block.y[exterior], block.x[exterior]) / (2.0 * math.pi) % 1.0
+    radius, x, y = (a[block.split:][exterior] for a in (block.radius, block.x, block.y))
+    assert radius.size == block.n_exterior.sum()
+    r2 = (radius**2 - r_in**2) / (r_out**2 - r_in**2)
+    turns = np.arctan2(y, x) / (2.0 * math.pi) % 1.0
     # Kolmogorov-Smirnov style bound, generous at n > 1e4
     grid = np.linspace(0.05, 0.95, 19)
     for fractions in (r2, turns):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import disaster_station, silencing_station, snapshot_from_stations
+from conftest import disaster_station, silencing_station, snapshot_from_stations, trial_rows
 from disastersim import netsim
 from disastersim.channel import ChannelParams, path_gain
 from disastersim.geometry import Annulus
@@ -161,28 +161,28 @@ def test_grid_equals_reference_on_dense_rho_grid(aerial):
     assert len({int(c) for c in expected[:, :11, 2].ravel()}) > 2
 
 
-def count_trial_sums(monkeypatch, cfg, radii, rhos) -> int:
+def count_sums(monkeypatch, cfg, radii, rhos) -> int:
     calls = []
-    original = netsim._trial_sums
+    original = netsim._sums
 
     def counting(*args):
         calls.append(1)
         return original(*args)
 
-    monkeypatch.setattr(netsim, "_trial_sums", counting)
+    monkeypatch.setattr(netsim, "_sums", counting)
     estimate_grid(cfg, radii, [SilencingPolicy.partial(rho) for rho in rhos])
     monkeypatch.undo()
     return len(calls)
 
 
-def test_trial_sums_do_not_grow_with_the_rho_count(monkeypatch):
-    # one block: one uplink call serves every radius; per radius, one
-    # downlink call for the rho > 0 server and one for the rho = 0 server
+def test_sums_do_not_grow_with_the_rho_count(monkeypatch):
+    # one block: per radius, one uplink call serves every rho, and one
+    # downlink call each for the rho > 0 server and the rho = 0 server
     cfg = base_cfg(n_trials=netsim._BLOCK)
     radii = (5000.0, 9000.0, 14000.0)
-    two = count_trial_sums(monkeypatch, cfg, radii, (0.0, 1.0))
-    eleven = count_trial_sums(monkeypatch, cfg, radii, np.linspace(0.0, 1.0, 11))
-    assert two == eleven == 1 + 2 * len(radii)
+    two = count_sums(monkeypatch, cfg, radii, (0.0, 1.0))
+    eleven = count_sums(monkeypatch, cfg, radii, np.linspace(0.0, 1.0, 11))
+    assert two == eleven == 3 * len(radii)
 
 
 def test_silencing_zone_factors_must_agree():
@@ -392,31 +392,39 @@ def replay_trial(cfg: ScenarioConfig, t: int) -> dict:
 
 def assert_block_equals_replay(cfg: ScenarioConfig, trials: range) -> list[dict]:
     # entry for entry, the block's stations are the replayed ones and its
-    # fading is the kernels' uplink and downlink draws; build_network is a
+    # fading is the kernels' uplink and downlink draws; the other rows are
+    # padding, never alive and with fading 0.0; build_network is a
     # one-trial block, so it is checked against the replay as well
     block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), trials, True)
     up_g, up_h = block.up_fading
     user_u, down_g, down_h = block.down_draws
     assert block.n_trials == len(trials)
+    n_rows = block.split + block.n_exterior.max()
+    for a in (block.x, block.y, block.alt, block.tx, block.alive, block.radius, up_h, down_h):
+        assert a.shape == (n_rows, len(trials)) and a.flags.c_contiguous
+    assert block.split == max(1, block.n_inner.max())
     replays = []
     for i, t in enumerate(trials):
         want = replay_trial(cfg, t)
         replays.append(want)
-        lo, hi = block.bounds[i], block.bounds[i + 1]
-        assert hi - lo == len(want["xy"])
-        assert np.array_equal(block.x[lo:hi], want["xy"][:, 0]) and np.array_equal(block.y[lo:hi], want["xy"][:, 1])
-        assert np.array_equal(block.alt[lo:hi], want["altitude"])  # all 0.0 without an aerial tier
-        assert np.array_equal(block.tx[lo:hi], want["tx"])
-        assert np.array_equal(block.alive[lo:hi], want["alive"])
-        assert np.array_equal(block.exterior[lo:hi], want["exterior"])
-        assert np.array_equal(block.radius[lo:hi], want["radius"])
+        rows = trial_rows(block, i)
+        n_bs = rows.stop - rows.start
+        assert n_bs == len(want["xy"]) and block.n_exterior[i] == np.count_nonzero(want["exterior"])
+        assert np.array_equal(block.x[rows, i], want["xy"][:, 0]) and np.array_equal(block.y[rows, i], want["xy"][:, 1])
+        assert np.array_equal(block.alt[rows, i], want["altitude"])  # all 0.0 without an aerial tier
+        assert np.array_equal(block.tx[rows, i], want["tx"])
+        assert np.array_equal(block.alive[rows, i], want["alive"])
+        assert np.array_equal(block.radius[rows, i], want["radius"])
         assert np.array_equal(block.device[i], want["device"])
-        n_bs = hi - lo
+        padding = np.ones(n_rows, dtype=bool)
+        padding[rows] = False
+        assert not block.alive[padding, i].any()
+        assert not up_h[padding, i].any() and not down_h[padding, i].any()
         up = trial_rng(cfg.master_seed, t, STREAM_UPLINK)
-        assert up_g[i] == up.exponential() and np.array_equal(up_h[lo:hi], up.exponential(size=n_bs))
+        assert up_g[i] == up.exponential() and np.array_equal(up_h[rows, i], up.exponential(size=n_bs))
         down = trial_rng(cfg.master_seed, t, STREAM_DOWNLINK)
         assert user_u[0][i] == down.random() and user_u[1][i] == down.random()
-        assert down_g[i] == down.exponential() and np.array_equal(down_h[lo:hi], down.exponential(size=n_bs))
+        assert down_g[i] == down.exponential() and np.array_equal(down_h[rows, i], down.exponential(size=n_bs))
 
         net = build_network(cfg, t)
         assert np.array_equal(net.xy, want["xy"]) and np.array_equal(net.zone, want["zone"])
@@ -496,21 +504,20 @@ def test_property_silencing_zone_is_a_radius_prefix(bs_density, disaster_radius,
     )
     block = netsim._sample_block(cfg, netsim._StreamPool(seed), range(first, first + n), False)
     # r_s between stations, and exactly at an exterior station's radius
-    placed = block.radius[block.exterior]
+    placed = block.radius[block.split:][block.alive[block.split:]]  # exterior stations are alive, padding not
     placed = placed[(placed > ring_outer) & (placed <= cfg.sim_radius)]
     radii = [ring_outer + u * exterior_width for u in picks if ring_outer + u * exterior_width > ring_outer]
     radii += [float(placed[int(u * placed.size)]) for u in picks if placed.size]
     radii.append(cfg.sim_radius)
-    inside = block.silencing_counts(radii)
     for i, t in enumerate(range(first, first + n)):
-        lo, hi = block.bounds[i], block.bounds[i + 1]
-        exterior, radius = block.exterior[lo:hi], block.radius[lo:hi]
+        radius = block.radius[trial_rows(block, i), i]
+        exterior = np.arange(radius.size) >= block.n_inner[i]
         assert np.all(np.diff(radius[exterior]) >= 0.0)
         assert np.all((ring_outer <= radius[exterior]) & (radius[exterior] <= cfg.sim_radius))
-        n_inner = hi - lo - block.n_exterior[i]
-        for k, r_s in enumerate(radii):
+        for r_s in radii:
+            # the engine's silencing zone: the exterior rows with radius <= r_s
             zone = exterior & (radius <= r_s)
-            assert np.array_equal(np.flatnonzero(zone), n_inner + np.arange(inside[i, k]))
+            assert np.array_equal(np.flatnonzero(zone), block.n_inner[i] + np.arange(np.count_nonzero(zone)))
             net = build_network(dataclasses.replace(cfg, silencing_radius=r_s), t)
             assert np.array_equal(net.zone == netsim.Zone.SILENCING, zone)
             assert np.array_equal(net.zone == netsim.Zone.OUTER, exterior & ~zone)
@@ -523,7 +530,7 @@ def test_grid_equals_reference_at_a_station_radius():
     # would count a hole
     cfg = base_cfg(n_trials=6, master_seed=99)
     block = netsim._sample_block(cfg, netsim._StreamPool(cfg.master_seed), range(1), False)
-    r_s = float(block.radius[block.exterior][0])
+    r_s = float(block.radius[block.split, 0])
     expected = assert_grid_matches(cfg, (r_s, 9000.0), POLICIES, workers=1)
     assert expected[0, 3, 2] > 0  # spectrum_split serves a silencing-area user at r_s
 
@@ -540,28 +547,55 @@ def test_stream_pool_equals_fresh_generators(seed):
         fresh.integers(0, 7, size=3, dtype=np.uint32)
 
 
-def test_nearest_breaks_ties_to_lowest_index():
-    # trial 0: stations 1 and 2 tie; trial 1 is empty; trial 2: 4 and 5
-    # tie; trial 3 has a station but no candidate
-    bounds = np.array([0, 3, 3, 7, 8])
-    candidates = np.array([0, 1, 2, 4, 5, 6])
-    d = np.array([2.0, 1.0, 1.0, 3.0, 3.0, 4.0])
-    assert netsim._nearest(bounds, candidates, d).tolist() == [1, -1, 4, -1]
+def test_serving_breaks_ties_to_lowest_index():
+    # one column per trial: 0, rows 1 and 2 tie; 1, no candidate; 2, rows 1
+    # and 2 tie and the nearer row 0 is no candidate; 3, a lone column of
+    # three equal distances
+    d = np.array([[2.0, 1.0, 0.5, 4.0], [1.0, 1.0, 3.0, 4.0], [1.0, 1.0, 3.0, 4.0]])
+    on = np.array([[True, False, False, True], [True, False, True, True], [True, False, True, True]])
+    rows, served = netsim._serving(d, on)
+    assert rows[served].tolist() == [1, 1, 0] and served.tolist() == [True, False, True, True]
+    rows, served = netsim._serving(d[:, 3:], on[:, 3:])
+    assert rows.tolist() == [0] and served.tolist() == [True]
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.lists(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=6), min_size=1, max_size=8))
-def test_property_nearest_is_per_trial_argmin(trials):
-    # small integer distances make ties common
-    bounds = np.cumsum([0] + [len(t) for t in trials])
-    flat = [station for t in trials for station in t]
-    candidates = np.array([i for i, (c, _) in enumerate(flat) if c], dtype=np.intp)
-    d_all = np.array([float(dist) for _, dist in flat])
-    expected = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        mine = candidates[(candidates >= lo) & (candidates < hi)]
-        expected.append(int(mine[np.argmin(d_all[mine])]) if mine.size else -1)
-    assert netsim._nearest(bounds, candidates, d_all[candidates]).tolist() == expected
+@given(st.integers(1, 7), st.lists(st.lists(st.tuples(st.booleans(), st.integers(0, 3)), max_size=7), min_size=1,
+                                    max_size=8))
+def test_property_serving_is_per_trial_argmin(n_rows, trials):
+    # small integer distances make ties common; a trial's missing rows are
+    # padding, never candidates
+    d, on = np.full((n_rows, len(trials)), 9.0), np.zeros((n_rows, len(trials)), dtype=bool)
+    for t, stations in enumerate(trials):
+        for row, (candidate, dist) in enumerate(stations[:n_rows]):
+            d[row, t], on[row, t] = dist, candidate
+    rows, served = netsim._serving(d, on)
+    for t, stations in enumerate(trials):
+        mine = [row for row, (candidate, _) in enumerate(stations[:n_rows]) if candidate]
+        assert served[t] == bool(mine)
+        if mine:
+            assert rows[t] == mine[int(np.argmin(d[mine, t]))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n_rows=st.integers(0, 900),
+    n_columns=st.integers(1, 130),
+    zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    low=st.integers(-30, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_column_sums_are_sequential_sums(n_rows, n_columns, zeros, low, seed):
+    # terms of magnitudes 10^low to 1e5 with a share of zeros, as rows, as
+    # a reversed view and in column-major memory; np.cumsum adds each term
+    # to the sum before it, so its last row is the sequential sum
+    rng = np.random.default_rng(seed)
+    terms = rng.random((n_rows, n_columns)) * 10.0 ** rng.uniform(low, 5.0, (n_rows, n_columns))
+    terms[rng.random((n_rows, n_columns)) < zeros] = 0.0
+    for rows in (terms, terms[::-1], np.asfortranarray(terms)):
+        expected = np.cumsum(rows, axis=0)[-1] if n_rows else np.zeros(n_columns)
+        assert np.array_equal(netsim._column_sums(rows), expected)
+        assert np.array_equal(netsim._column_sums(rows[:, :1]), expected[:1])
 
 
 def sequential_sums(inner, exterior, inside):
@@ -605,9 +639,10 @@ station_terms = st.lists(st.tuples(st.floats(0.0, 1e6).map(abs), st.booleans()),
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.lists(st.tuples(station_terms.map(lambda t: t[:12]), station_terms,
                           st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)), min_size=1, max_size=6))
-def test_property_trial_sums_are_sequential_sums(trials):
-    # ragged blocks with empty trials, trials without exterior stations, random
-    # interferer masks and, per trial, two random silencing-zone counts
+def test_property_sums_are_sequential_sums(trials):
+    # padded blocks with empty trials, trials without exterior stations,
+    # random interferer masks and, per trial, two random silencing-zone
+    # counts; a group without interferers is skipped and reads 0.0
     cfg = base_cfg()
     draws = netsim._Draws([], [], [], [], [])
     for inner, exterior, _ in trials:
@@ -620,16 +655,28 @@ def test_property_trial_sums_are_sequential_sums(trials):
         draws.measure.append(np.arange(1.0, len(exterior) + 1.0))
         draws.angles.append(np.zeros(len(exterior)))
     block = netsim._place_block(cfg, draws)
-    stations = [inner + exterior for inner, exterior, _ in trials]
-    terms = np.array([term for trial in stations for term, _ in trial])
-    on = np.array([o for trial in stations for _, o in trial], dtype=bool)
-    inside = np.array([[round(u * len(exterior)) for u in fractions] for _, exterior, fractions in trials])
-    i_fix, i_sil = netsim._trial_sums(block, terms, on, inside)
+    split = block.split
+    kept = np.zeros(block.x.shape)
     for t, (inner, exterior, _) in enumerate(trials):
-        for k, n_inside in enumerate(inside[t]):
-            expected = sequential_sums(inner, exterior, n_inside)
-            assert (i_fix[t, k], i_sil[t, k]) == expected
-            assert kernel_sums(inner, exterior, n_inside) == (expected[0], expected[0] + 1.0 * expected[1])
+        kept[trial_rows(block, t), t] = [term if on else 0.0 for term, on in inner + exterior]
+    inside = np.array([[round(u * len(exterior)) for u in fractions] for _, exterior, fractions in trials])
+    for k in range(2):
+        sil = np.arange(kept.shape[0] - split)[:, None] < inside[:, k]
+        i_fix, i_sil = netsim._sums(kept, split, sil)
+        for t, (inner, exterior, _) in enumerate(trials):
+            expected = sequential_sums(inner, exterior, inside[t, k])
+            assert (i_fix[t], i_sil[t]) == expected
+            assert kernel_sums(inner, exterior, inside[t, k]) == (expected[0], expected[0] + 1.0 * expected[1])
+        # a policy under which only the silencing zone transmits, or every
+        # zone but it: the group left without interferers is not summed, and
+        # its 0.0 has the bits of its sum
+        in_sil = np.concatenate((np.zeros((split, len(trials)), dtype=bool), sil))
+        for fixed_on, kept_k in ((False, kept * in_sil), (True, kept * ~in_sil)):
+            j = 0 if fixed_on else 1  # the sum that keeps its interferers
+            summed = netsim._sums(kept_k, split, sil)
+            skipped = netsim._sums(kept_k, split, sil, fixed_on, not fixed_on)
+            assert np.array_equal(skipped[j], summed[j]) and np.array_equal(skipped[j], (i_fix, i_sil)[j])
+            assert skipped[1 - j] == 0.0 and not summed[1 - j].any() and not np.signbit(summed[1 - j]).any()
 
 
 @st.composite

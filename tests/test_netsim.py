@@ -16,6 +16,7 @@ from conftest import (
     ring_station,
     silencing_station,
     snapshot_from_stations,
+    trial_rows,
 )
 from disastersim import netsim, planner
 from disastersim.channel import ChannelParams, path_gain
@@ -555,18 +556,16 @@ def test_sim_radius_extension_is_prefix_per_trial(ring_edge, small_width, extra_
     assert np.array_equal(big.up_fading[0], small.up_fading[0])
     assert np.array_equal(big.down_draws[0], small.down_draws[0])
     assert np.array_equal(big.down_draws[1], small.down_draws[1])
+    assert np.array_equal(big.n_inner, small.n_inner) and np.all(big.n_exterior >= small.n_exterior)
     for i in range(len(trials)):
-        lo, hi = small.bounds[i], small.bounds[i + 1]
-        big_lo, big_hi = big.bounds[i], big.bounds[i + 1]
-        n = hi - lo
-        assert big_hi - big_lo >= n
-        shared = slice(big_lo, big_lo + n)
-        for field in ("x", "y", "alive", "exterior", "radius"):
-            assert np.array_equal(getattr(big, field)[shared], getattr(small, field)[lo:hi]), field
-        assert np.array_equal(big.up_fading[1][shared], small.up_fading[1][lo:hi])
-        assert np.array_equal(big.down_draws[2][shared], small.down_draws[2][lo:hi])
-        assert np.all(big.exterior[big_lo + n:big_hi])
-        assert np.all(big.radius[big_lo + n:big_hi] >= small_cfg.sim_radius)
+        rows, big_rows = trial_rows(small, i), trial_rows(big, i)
+        n = rows.stop - rows.start
+        shared = slice(big_rows.start, big_rows.start + n)
+        for field in ("x", "y", "alive", "radius"):
+            assert np.array_equal(getattr(big, field)[shared, i], getattr(small, field)[rows, i]), field
+        assert np.array_equal(big.up_fading[1][shared, i], small.up_fading[1][rows, i])
+        assert np.array_equal(big.down_draws[2][shared, i], small.down_draws[2][rows, i])
+        assert np.all(big.radius[shared.stop:big_rows.stop, i] >= small_cfg.sim_radius)
 
 
 # ---------------------------------------------------------------------------
