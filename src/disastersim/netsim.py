@@ -60,16 +60,20 @@ pattern in use: every station (rho > 0), all but the silencing zone
 (rho = 0), or that zone alone (spectrum_split).
 
 Sampling is split into draws and placement (see geometry). _sample_trial
-makes every generator call of one trial's realization and places nothing;
-consecutive uniform draws are one call (the device is random(2), a tier of
-c stations random(2c), or random(3c) with the survival marks), and it
-returns the trial's tier sizes as ints with its uniforms as drawn.
-_place_block turns the draws of consecutive trials into stations with no
-walk over the trials: the tier sizes locate every inner station's
-uniforms, the exterior arrivals are placed as one array, and one cos/sin
-pass places every station. Placement is elementwise, so a station gets the
-same coordinates whether its trial is placed alone (build_network, a
-one-trial block) or in a block.
+makes every generator call of one trial's realization, places nothing, and
+appends the trial's tier sizes as ints and its draws to those of the
+trials before it (_Draws). Consecutive uniform draws are one call: the
+device is random(2), and an inner tier of c stations is random((k, c)),
+drawn as rows: radius fractions, angle fractions and, in the disaster tier
+(k = 3), survival marks. NumPy fills the rows in C order, so they hold the
+numbers of random(k * c). _place_block turns the draws of consecutive
+trials into stations with no walk over the trials: it joins each inner
+tier's rows across the trials and places the stations tier by tier, the
+exterior arrivals as one array, with one cos/sin pass over every station,
+and then writes each (tier, trial) run of stations to its trial's column.
+Placement is elementwise, so a station gets the same coordinates whether
+its trial is placed alone (build_network, a one-trial block) or in a
+block.
 
 estimate_grid cuts the n trials it scores into near-equal blocks once:
 k = max(1, n // _BLOCK) blocks, with edges at n * i // k, so every block
@@ -407,10 +411,10 @@ def _regions(disaster_radius: float, ring_outer: float, sim_radius: float):
     return geometry.disk(disaster_radius), Annulus(disaster_radius, ring_outer), Annulus(ring_outer, sim_radius)
 
 
-# Station tiers, in each trial's station order; exterior stations are in the
-# outer zone unless their radius puts them in the silencing zone.
-_DISASTER, _RING, _AERIAL, _EXTERIOR = range(4)
-_INNER_TIERS = np.arange(_EXTERIOR, dtype=np.int8)
+# Station tiers, in each trial's station order: disaster, ring, aerial, then
+# the exterior, whose stations are in the outer zone unless their radius puts
+# them in the silencing zone.
+_EXTERIOR = 3
 _UNIFORMS_PER_STATION = (3, 2, 2)  # per station of an inner tier: radius and angle fractions, disaster survival mark
 _TIER_ZONE = np.array([Zone.DISASTER, Zone.ACTIVE_RING, Zone.DISASTER, Zone.OUTER], dtype=np.int8)  # per tier
 
@@ -433,46 +437,50 @@ def _plan(cfg: ScenarioConfig) -> _Plan:
     return _Plan(means, cfg.bs_density * exterior_region.area)
 
 
-class _Draws(NamedTuple):
-    """The station draws of one trial, or of consecutive trials, before any
-    station is placed; consecutive trials' draws are theirs concatenated
-    field by field.
+@dataclass
+class _Draws:
+    """The station draws of consecutive trials, before any station is
+    placed, each list in trial order.
 
-    Per trial, sizes holds the station count of each tier in station order,
-    device the device's radius and angle fractions, and tiers the geometry
-    stream's uniforms of the inner tiers as drawn: per tier its radius
-    fractions and its angle fractions, the disaster tier's followed by its
-    survival marks (alive where < bs_survival_prob). measure and angles
-    hold the exterior's ascending cumulative arrival counts and angle
-    fractions, in the steps geometry._arrivals draws them.
+    Per trial, sizes holds the station count of each tier in station order
+    and device the device's radius and angle fractions. tiers holds one
+    list per inner tier (disaster, ring, aerial), and in it each trial's
+    draws of that tier as rows, one column per station: radius fractions,
+    angle fractions and, in the disaster tier, survival marks (alive where
+    < bs_survival_prob). A trial without stations in a tier adds nothing
+    to its list. measure and angles hold the exterior's ascending
+    cumulative arrival counts and angle fractions, in the steps
+    geometry._arrivals draws them.
     """
 
-    sizes: list[int]  # per trial: disaster, ring, aerial and exterior stations
-    device: list[np.ndarray]  # per trial: (2,)
-    tiers: list[np.ndarray]  # per trial: disaster (3n,), ring (2n,) and aerial (2n,), each if n > 0
-    measure: list[np.ndarray]
-    angles: list[np.ndarray]
+    sizes: list[int] = field(default_factory=list)  # per trial: disaster, ring, aerial and exterior stations
+    device: list[np.ndarray] = field(default_factory=list)  # per trial: (2,)
+    tiers: tuple[list[np.ndarray], ...] = field(default_factory=lambda: ([], [], []))  # (3, c), (2, c), (2, c)
+    measure: list[np.ndarray] = field(default_factory=list)
+    angles: list[np.ndarray] = field(default_factory=list)
 
 
-def _sample_trial(plan: _Plan, geom_rng: np.random.Generator, exterior_rng: np.random.Generator) -> _Draws:
-    """Every draw of one trial's realization, in the order of the module
-    docstring; _place_block turns them into stations.
+def _sample_trial(plan: _Plan, geom_rng: np.random.Generator, exterior_rng: np.random.Generator,
+                  draws: _Draws) -> None:
+    """Append every draw of one trial's realization to draws, in the order
+    of the module docstring; _place_block turns them into stations.
 
     Consecutive uniform draws are one generator call, since random(a) then
     random(b) gives the numbers of random(a + b): the device is random(2),
-    and a tier of c stations is random(2c), random(3c) with the disaster
-    tier's survival marks.
+    and a tier of c stations is random((k, c)), whose C-order rows are the
+    numbers of random(k * c): k = 3 rows with the disaster tier's survival
+    marks, else 2.
     """
-    device = geom_rng.random(2)
-    sizes, tiers = [], []
-    for mean, per_station in zip(plan.means, _UNIFORMS_PER_STATION):
+    draws.device.append(geom_rng.random(2))
+    for mean, k, tier in zip(plan.means, _UNIFORMS_PER_STATION, draws.tiers):
         count = geom_rng.poisson(mean) if mean > 0.0 else 0
-        sizes.append(count)
-        if count:  # random(0) draws nothing, but costs a call
-            tiers.append(geom_rng.random(per_station * count))
+        draws.sizes.append(count)
+        if count:  # random((k, 0)) draws nothing, but costs a call
+            tier.append(geom_rng.random((k, count)))
     n_exterior, measure, angles = geometry._arrivals(plan.exterior, exterior_rng)
-    sizes.append(n_exterior)
-    return _Draws(sizes, [device], tiers, measure, angles)
+    draws.sizes.append(n_exterior)
+    draws.measure += measure
+    draws.angles += angles
 
 
 def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
@@ -486,10 +494,12 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     Splitting one exterior process by radius keeps realizations comparable
     across silencing radii with common random numbers.
     """
-    draws = _sample_trial(
+    draws = _Draws()
+    _sample_trial(
         _plan(cfg),
         trial_rng(cfg.master_seed, trial_index, STREAM_GEOMETRY),
         trial_rng(cfg.master_seed, trial_index, STREAM_EXTERIOR),
+        draws,
     )
     block = _place_block(cfg, draws)
     stations = slice(block.split - int(block.n_inner[0]), None)  # the trial's column, without padding
@@ -786,8 +796,10 @@ class _Block:
         return _distance(self.x[rows], self.y[rows], px, py, z, pz)
 
 
-def _concatenate(arrays: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0)
+def _concatenate(arrays: list[np.ndarray], rows: tuple[int, ...] = ()) -> np.ndarray:
+    """The arrays joined along their last axis; for no arrays, an empty
+    array with these leading dimensions."""
+    return np.concatenate(arrays, axis=-1) if arrays else np.empty((*rows, 0))
 
 
 def _padded(shape: tuple[int, int], at: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -801,63 +813,54 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     """The stations of consecutive trials' draws, placed as one block.
 
     Every step runs once over the whole block, with no walk over its
-    trials: the tier sizes locate each inner station's uniforms in the
-    concatenated tier draws, the exterior stations are placed from the
-    concatenated arrivals, cos and sin run once over every station, and
-    the run lengths give each station's entry in the block, where it is
-    written. Placement is elementwise, so every station gets the bits it
-    would get placed on its own.
+    trials. Each inner tier's draws are joined into rows, the exterior's
+    arrivals into one array, and the stations are placed tier by tier,
+    each tier's trial by trial: its radius fractions and angle fractions
+    are rows of its draws, and cos and sin run once over every station.
+    Each (tier, trial) run of stations is then written to its trial's
+    column from the run's first row on. Placement is elementwise, so every
+    station gets the bits it would get placed on its own.
     """
     disaster_region, ring_region, exterior_region = _regions(
         cfg.disaster_radius, cfg.ring_outer_radius, cfg.sim_radius
     )
     sizes = np.array(draws.sizes, dtype=np.intp).reshape(-1, 4)
     n_trials = sizes.shape[0]
-    counts = sizes[:, :_EXTERIOR]
-    n_inner, n_exterior = counts.sum(axis=1), sizes[:, _EXTERIOR]
+    n_inner, n_exterior = sizes[:, :_EXTERIOR].sum(axis=1), sizes[:, _EXTERIOR]
     split = max(1, int(n_inner.max()))
     shape = (split + int(n_exterior.max()), n_trials)
 
-    # The stations in the order their draws are concatenated: the inner
-    # ones trial by trial, tier by tier, then the exterior ones trial by
-    # trial. A tier of c stations drew its c radius fractions, then c angle
-    # fractions and, in the disaster tier, c survival marks.
-    following = (counts * (np.array(_UNIFORMS_PER_STATION) - 1)).ravel()  # uniforms after the radius fractions
-    counts = counts.ravel()
-    n = int(counts.sum())  # inner stations; the exterior ones follow
-    per_tier = np.repeat(counts, counts)
-    u_radius = np.arange(n) + np.repeat(np.cumsum(following) - following, counts)
-    u_angle = u_radius + per_tier
-    inner_tier = np.repeat(np.tile(_INNER_TIERS, n_trials), counts)
-    uniforms = _concatenate(draws.tiers)
-    fractions, ring = uniforms[u_radius], inner_tier == _RING
-    exterior = geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure))
-    radius = np.concatenate((np.empty(n), exterior))
-    radius[:n][ring] = geometry._annulus_radius(ring_region, fractions[ring])
-    radius[:n][~ring] = geometry._annulus_radius(disaster_region, fractions[~ring])  # disaster and aerial
-    x, y = geometry._polar_to_xy(radius, np.concatenate((uniforms[u_angle], *draws.angles)))
-    alive_inner = np.ones(n, dtype=bool)
-    disaster = inner_tier == _DISASTER
-    alive_inner[disaster] = uniforms[(u_angle + per_tier)[disaster]] < cfg.bs_survival_prob
+    disaster, ring, aerial = (_concatenate(tier, (k,)) for tier, k in zip(draws.tiers, _UNIFORMS_PER_STATION))
+    radius = np.concatenate((
+        geometry._annulus_radius(disaster_region, disaster[0]),
+        geometry._annulus_radius(ring_region, ring[0]),
+        geometry._annulus_radius(disaster_region, aerial[0]),
+        geometry._radial_radius(exterior_region, cfg.bs_density, _concatenate(draws.measure)),
+    ))
+    x, y = geometry._polar_to_xy(radius, np.concatenate((disaster[1], ring[1], aerial[1], *draws.angles)))
     u_device = np.array(draws.device)
     device = np.column_stack(geometry._place(disaster_region, u_device[:, 0], u_device[:, 1]))
 
     # Each station's entry in the flattened (S, n_trials) arrays, row *
-    # n_trials + trial: trial t's inner stations end at row split, its
-    # exterior ones start there. A run is one trial's inner or exterior
-    # stations, and a station's entry is its run's first entry plus its
-    # rank in the run times n_trials.
-    trials, lengths = np.arange(n_trials), np.concatenate((n_inner, n_exterior))
-    first = np.concatenate(((split - n_inner) * n_trials + trials, split * n_trials + trials))
+    # n_trials + trial. A run is one (tier, trial) pair's stations, in the
+    # order placed, and a station's entry is its run's first entry plus its
+    # rank in the run times n_trials. Trial t's inner stations end at row
+    # split, so a run's first row is split - n_inner plus the sizes of the
+    # trial's tiers before it, which for the exterior run is split.
+    first_row = (split - n_inner)[:, None] + np.cumsum(sizes, axis=1) - sizes
+    lengths = sizes.T.ravel()
+    first = (first_row.T * n_trials + np.arange(n_trials)).ravel()
     at = np.repeat(first - (np.cumsum(lengths) - lengths) * n_trials, lengths)
     at += np.arange(0, radius.size * n_trials, n_trials)
     x, y, radius = (_padded(shape, at, values) for values in (x, y, radius))
-    inner, alive = at[:n], radius > 0.0  # exterior stations lie beyond the ring edge, padding at radius 0.0
-    alive.reshape(-1)[inner] = alive_inner
+    alive = radius > 0.0  # ring and exterior stations lie beyond the disaster disk, padding at radius 0.0
+    disaster_end, ring_end, aerial_end, _ = np.cumsum(sizes.sum(axis=0)).tolist()  # each tier's end in at
+    alive.reshape(-1)[at[:disaster_end]] = disaster[2] < cfg.bs_survival_prob
     alt, tx = np.zeros(shape), np.full(shape, cfg.bs_tx_power)
     if cfg.aerial is not None:
-        aerial = inner[inner_tier == _AERIAL]
-        alt.reshape(-1)[aerial], tx.reshape(-1)[aerial] = cfg.aerial.altitude, cfg.aerial.tx_power
+        flying = at[ring_end:aerial_end]
+        alive.reshape(-1)[flying] = True  # never thinned, even at radius 0.0
+        alt.reshape(-1)[flying], tx.reshape(-1)[flying] = cfg.aerial.altitude, cfg.aerial.tx_power
     return _Block(split, n_inner, n_exterior, x, y, alt, tx, alive, radius, device, cfg.aerial is not None)
 
 
@@ -874,16 +877,9 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
     radius and so draws the same user fractions and fading at each; they
     are drawn once.
     """
-    plan = _plan(cfg)
-    draws = _Draws([], [], [], [], [])
-    sizes, device, tiers, measure, angles = draws
+    plan, draws = _plan(cfg), _Draws()
     for t in trials:
-        trial = _sample_trial(plan, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR))
-        sizes += trial.sizes
-        device += trial.device
-        tiers += trial.tiers
-        measure += trial.measure
-        angles += trial.angles
+        _sample_trial(plan, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR), draws)
     block = _place_block(cfg, draws)
 
     n_trials, n_rows = block.n_trials, block.x.shape[0]

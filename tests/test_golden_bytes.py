@@ -1,8 +1,10 @@
 """Output bytes of every subcommand, pinned by SHA-256.
 
-Outputs are a pure function of (scenario, seed, version). A change to any
-byte of these files, from the engine, the CSV writer or the manifest, fails
-here; such a change must bump __version__ and update these digests.
+Outputs are a pure function of (scenario, seed, version) for a given NumPy
+and C library. A change to any byte of these files, from the engine, the
+CSV writer or the manifest, fails here; such a change must bump
+__version__ and update these digests. The generator canary at the end pins
+the NumPy draws the engine makes, so a NumPy change fails there by name.
 """
 import hashlib
 import json
@@ -11,6 +13,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 import pytest
 
@@ -55,6 +58,7 @@ AVX512 = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR") if __cpu_features__.
 
 DISPATCH_CHILD = """
 import json, sys
+import numpy as np
 from numpy._core._multiarray_umath import __cpu_features__
 from disastersim.cli import main
 disabled, runs = json.loads(sys.argv[1])
@@ -165,3 +169,57 @@ def test_analytic_and_default_output_bytes(tmp_path, command, scenario, extra):
     out = tmp_path / "out.csv"
     assert main([command, "--scenario", str(path), "--out", str(out), *extra]) == 0
     assert (sha256(out), sha256(manifest_path(out))) == SCENARIO_GOLDEN[command, scenario, extra]
+
+
+# The first outputs of every Generator method the engine draws with, on one
+# Philox key and counter, bit for bit: a NumPy whose streams differ fails
+# here under the method's name, before any digest above is read. Poisson is
+# pinned at a mean on each side of 10, where NumPy switches from
+# multiplying uniforms to rejection sampling; 5.03 is paper_fig5's
+# disaster-tier mean.
+def philox() -> np.random.Generator:
+    key = np.array([2024, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=np.array([0, 0, 5, 0], dtype=np.uint64)))
+
+
+def into(method, n):
+    def draw(rng):
+        out = np.empty(n)
+        getattr(rng, method)(out=out)
+        return out
+    return draw
+
+
+GENERATOR_CANARY = {
+    "random": (lambda rng: rng.random(4),
+               ["0x1.c3a613cdc8509p-1", "0x1.2cb528cb5bdb8p-1", "0x1.a03dd79e5ad9fp-1", "0x1.944e24bb5dad1p-1"]),
+    "random(out=...)": (into("random", 2), ["0x1.c3a613cdc8509p-1", "0x1.2cb528cb5bdb8p-1"]),
+    "exponential": (lambda rng: [rng.exponential(), rng.exponential(), *rng.exponential(size=2)],
+                    ["0x1.9c3ecf6306367p+0", "0x1.ee2aafd8e14fep+0", "0x1.a32d4d7bf6ecfp+1", "0x1.1ca2cc13dd855p+0"]),
+    "standard_exponential(out=...)": (
+        into("standard_exponential", 4),
+        ["0x1.9c3ecf6306367p+0", "0x1.ee2aafd8e14fep+0", "0x1.a32d4d7bf6ecfp+1", "0x1.1ca2cc13dd855p+0"],
+    ),
+    "poisson(5.03)": (lambda rng: [rng.poisson(5.03) for _ in range(8)], [7, 4, 7, 2, 1, 6, 9, 5]),
+    "poisson(12.57)": (lambda rng: [rng.poisson(12.57) for _ in range(8)], [17, 9, 15, 14, 10, 7, 10, 10]),
+}
+
+
+@pytest.mark.parametrize("method", sorted(GENERATOR_CANARY))
+def test_generator_outputs_are_pinned(method):
+    draw, expected = GENERATOR_CANARY[method]
+    got = [x if isinstance(x, int) else float(x).hex() for x in draw(philox())]
+    assert got == expected, f"Generator.{method} no longer draws the pinned numbers"
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_generator_call_merges_hold(count):
+    # the engine draws a tier of c stations as random((k, c)) and the device
+    # as random(2), relying on C-order rows and on random(a), random(b)
+    # being random(a + b); and its fading as standard_exponential(out=...),
+    # relying on it giving exponential(size=n)'s numbers
+    for k in (2, 3):
+        assert np.array_equal(philox().random((k, count)), philox().random(k * count).reshape(k, count))
+    rng = philox()
+    assert np.array_equal(np.concatenate((rng.random(2), rng.random(count))), philox().random(2 + count))
+    assert np.array_equal(into("standard_exponential", count)(philox()), philox().exponential(size=count))

@@ -598,6 +598,33 @@ def test_property_column_sums_are_sequential_sums(n_rows, n_columns, zeros, low,
         assert np.array_equal(netsim._column_sums(rows[:, :1]), expected[:1])
 
 
+def test_place_block_reads_each_tier_and_keeps_a_station_at_the_centre_alive():
+    # hand-built draws: a station at radius fraction 0.0 sits at radius 0.0,
+    # where padding sits too; a disaster station's survival mark decides
+    # whether it is alive, and an aerial station is alive wherever it is
+    cfg = base_cfg(aerial=AerialTier(density=1e-6, altitude=250.0, tx_power=0.3))
+    draws = netsim._Draws()
+    draws.sizes += [2, 1, 2, 1, 0, 0, 1, 0]
+    draws.device += [np.array([0.5, 0.5])] * 2
+    draws.tiers[0].append(np.array([[0.0, 0.25], [0.1, 0.2], [0.1, 0.9]]))  # marks 0.1 < 0.5 < 0.9
+    draws.tiers[1].append(np.array([[0.5], [0.3]]))
+    draws.tiers[2].extend([np.array([[0.0, 0.5], [0.4, 0.6]]), np.array([[0.0], [0.7]])])
+    draws.measure.append(np.array([1.0]))
+    draws.angles.append(np.array([0.8]))
+    block = netsim._place_block(cfg, draws)
+    assert block.split == 5 and list(block.n_inner) == [5, 1] and list(block.n_exterior) == [1, 0]
+    first, second = (trial_rows(block, t) for t in range(2))
+    disaster, ring = cfg.disaster_radius, cfg.ring_outer_radius
+    assert list(block.radius[first, 0]) == [0.0, disaster * 0.5, math.sqrt(disaster**2 + 0.5 * (ring**2 - disaster**2)),
+                                            0.0, disaster * math.sqrt(0.5), block.radius[5, 0]]
+    assert block.radius[5, 0] == math.sqrt(ring**2 + 1.0 / (cfg.bs_density * math.pi))
+    assert list(block.alive[first, 0]) == [True, False, True, True, True, True]
+    assert list(block.alt[first, 0]) == [0.0, 0.0, 0.0, 250.0, 250.0, 0.0]
+    assert list(block.tx[first, 0]) == [1.0, 1.0, 1.0, 0.3, 0.3, 1.0]
+    assert (block.radius[second, 1], block.alive[second, 1], block.alt[second, 1]) == (0.0, True, 250.0)
+    assert block.alive.sum() == 6  # no padding entry is alive
+
+
 def sequential_sums(inner, exterior, inside):
     """(I_fix, I_sil) of one trial's (term, on) stations, with the first
     `inside` exterior stations in the silencing zone, in the summation
@@ -644,14 +671,15 @@ def test_property_sums_are_sequential_sums(trials):
     # random interferer masks and, per trial, two random silencing-zone
     # counts; a group without interferers is skipped and reads 0.0
     cfg = base_cfg()
-    draws = netsim._Draws([], [], [], [], [])
+    draws = netsim._Draws()
     for inner, exterior, _ in trials:
         n_disaster = len(inner) // 2
         n_ring = len(inner) - n_disaster
         draws.sizes.extend((n_disaster, n_ring, 0, len(exterior)))
         draws.device.append(np.array([0.5, 0.5]))
-        # radius fractions, angle fractions (and survival marks) per tier
-        draws.tiers.extend([np.repeat([0.5, 0.0, 0.0], n_disaster), np.repeat([0.5, 0.0], n_ring)])
+        # per tier, rows of radius fractions, angle fractions (and survival marks)
+        draws.tiers[0].append(np.tile([[0.5], [0.0], [0.0]], n_disaster))
+        draws.tiers[1].append(np.tile([[0.5], [0.0]], n_ring))
         draws.measure.append(np.arange(1.0, len(exterior) + 1.0))
         draws.angles.append(np.zeros(len(exterior)))
     block = netsim._place_block(cfg, draws)

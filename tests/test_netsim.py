@@ -686,6 +686,45 @@ def test_downlink_estimate_worker_invariance():
     assert a == b
 
 
+def abg_coverage(tau: float) -> float:
+    """Downlink coverage P(SIR >= tau) of a typical user served by its
+    nearest station of a homogeneous PPP, with Rayleigh fading, path-loss
+    exponent 4, equal powers and no noise: 1 / (1 + rho(tau)), rho(tau) =
+    sqrt(tau) (pi/2 - arctan(1/sqrt(tau))) (Andrews, Baccelli and Ganti, IEEE
+    Trans. Commun. 2011). It depends on neither the density nor the power."""
+    s = math.sqrt(tau)
+    return 1.0 / (1.0 + s * (math.pi / 2 - math.atan(1.0 / s)))
+
+
+@pytest.mark.parametrize("n_trials", [5000, pytest.param(20000, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("threshold_db", [-10.0, 0.0, 5.0])
+def test_downlink_coverage_matches_the_abg_closed_form(threshold_db, n_trials):
+    # The closed form holds only where the engine's downlink is that model:
+    # survival 1 makes every station of every zone alive, policy none keeps
+    # the silencing zone at full power, and there is no noise; the user is
+    # uniform in the silencing annulus, which a stationary PPP does not see.
+    # Truncation at sim_radius drops interferers at least R - r_s from the
+    # user, which can only raise coverage, by at most about 2 tau / (lambda
+    # pi (R - r_s)^2) (its first-order term): 0.0022 tau here. So the
+    # estimate may sit 4 sigma below the closed form, or that bias plus 4
+    # sigma above it. Measured at seed 2024: 0.9076 / 0.5640 / 0.3534 at 5k
+    # trials and 0.9118 / 0.5647 / 0.3483 at 20k, against 0.9117 / 0.5601 /
+    # 0.3469.
+    tau, density, r_s, sim_radius = 10.0 ** (threshold_db / 10.0), 1e-6, 3000.0, 20000.0
+    cfg = ScenarioConfig(
+        disaster_radius=500.0, active_ring_width=500.0, silencing_radius=r_s, sim_radius=sim_radius,
+        bs_density=density, bs_survival_prob=1.0,
+        channel=ChannelParams(path_loss_exponent=4.0, sinr_threshold=tau, noise_power=0.0),
+        n_trials=n_trials, master_seed=2024,
+    )
+    p = abg_coverage(tau)
+    sigma = math.sqrt(p * (1.0 - p) / n_trials)
+    bias = 2.0 * tau / (density * math.pi * (sim_radius - r_s) ** 2)
+    est = estimate_silencing_area_coverage(cfg, SilencingPolicy.none())
+    assert est.n_coverage_holes == 0
+    assert p - 4.0 * sigma <= est.value <= p + bias + 4.0 * sigma
+
+
 # ---------------------------------------------------------------------------
 # allocator: the engine keeps the heap it frees (_keep_freed_heap)
 # ---------------------------------------------------------------------------
