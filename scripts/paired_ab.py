@@ -11,6 +11,9 @@ make, with 1 worker:
   sweep  planner.sweep over the scenario's 6 x 3 (rho, radius) grid (what
          `silencing-sweep` computes), 50 trials
 
+`--trials N` times both calls at N trials instead, for example at a count
+that the engine cuts into several blocks.
+
 Each of 40 pairs times both trees once, in alternating order, after 3
 warm-up calls per tree. For each call the script prints each tree's median
 time, the quartiles and median of the paired ratio head / base, in how many
@@ -64,15 +67,16 @@ def load_tree(root: Path, name: str):
     return package
 
 
-def engine_calls(root: Path, name: str) -> dict:
-    """Zero-argument callables for the run and sweep calls of one tree."""
+def engine_calls(root: Path, name: str, trials: dict) -> dict:
+    """Zero-argument callables for the run and sweep calls of one tree, at
+    trials[call] trials each."""
     load_tree(root, name)
     netsim = importlib.import_module(f"{name}.netsim")
     planner = importlib.import_module(f"{name}.planner")
     scenario = importlib.import_module(f"{name}.scenario")
     spec = scenario.load_scenario(root / FIG5).silencing
-    run_cfg = dataclasses.replace(spec.config, n_trials=CALLS["run"])
-    sweep_cfg = dataclasses.replace(spec.config, n_trials=CALLS["sweep"])
+    run_cfg = dataclasses.replace(spec.config, n_trials=trials["run"])
+    sweep_cfg = dataclasses.replace(spec.config, n_trials=trials["sweep"])
     return {
         "run": lambda: netsim.estimate_grid(run_cfg, (run_cfg.silencing_radius,), spec.policies, 1),
         "sweep": lambda: planner.sweep(sweep_cfg, spec.sweep.grid, spec.sweep.weights, workers=1),
@@ -112,11 +116,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="root of the baseline checkout")
     parser.add_argument("--cpu", type=int, help="pin this process to one CPU")
+    parser.add_argument("--trials", type=int, help="trials of both calls (default: run 100, sweep 50)")
     args = parser.parse_args(argv)
+    if args.trials is not None and args.trials < 1:
+        parser.error(f"--trials must be >= 1, got {args.trials}")
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
 
-    trees = {"base": engine_calls(args.base.resolve(), "ab_base"), "head": engine_calls(ROOT, "ab_head")}
+    trials = dict.fromkeys(CALLS, args.trials) if args.trials else CALLS
+    trees = {"base": engine_calls(args.base.resolve(), "ab_base", trials),
+             "head": engine_calls(ROOT, "ab_head", trials)}
     print(f"base {args.base.resolve()}\nhead {ROOT}\n{PAIRS} pairs, order alternating")
     differ = False
     for call in CALLS:
@@ -137,7 +146,7 @@ def main(argv: list[str] | None = None) -> int:
         wins = sum(h < b for b, h in zip(times["base"], times["head"]))
         q1, median, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
         print(
-            f"{call:5s} ({CALLS[call]} trials): base median {statistics.median(times['base']) * 1e3:.2f} ms, "
+            f"{call:5s} ({trials[call]} trials): base median {statistics.median(times['base']) * 1e3:.2f} ms, "
             f"head median {statistics.median(times['head']) * 1e3:.2f} ms; head/base ratio median {median:.3f} "
             f"(q1 {q1:.3f}, q3 {q3:.3f}); head faster in {wins}/{PAIRS} pairs; "
             f"minor faults per call, median: base {statistics.median(faults['base']):.0f}, "

@@ -8,7 +8,9 @@ are a pure function of (scenario file contents, seed, version): no
 timestamps, paths, or worker counts ever reach an output byte. The manifest
 is three header lines (artifact, version, subcommand) and then every leaf
 of the loaded scenario document, keyed by its field path, with floats
-written exactly. Neither output may be the scenario file itself.
+written exactly. Neither output may be the scenario file itself, and
+--out may not be a device, FIFO or socket, whose manifest would be
+created beside it.
 
 Both outputs are UTF-8 with LF line endings on every platform, and each is
 replaced in place: opened without truncation, written from its start, and
@@ -283,6 +285,17 @@ def main(argv=None) -> int:
             or Path(args.out).suffix == ".manifest"):
         print(f"error: --out {args.out}: must end in a file name, and not in .manifest, the suffix of its manifest",
               file=sys.stderr)
+        return EXIT_INPUT
+    # The manifest lies beside --out, so for a device, FIFO or socket it
+    # would be a new file in the device's directory (/dev/null.manifest). A
+    # symlink to one is fine: the manifest then lies beside the link.
+    try:
+        kind = stat.S_IFMT(os.lstat(args.out).st_mode)
+    except OSError:
+        kind = None
+    if kind in (stat.S_IFCHR, stat.S_IFBLK, stat.S_IFIFO, stat.S_IFSOCK):
+        print(f"error: --out {args.out}: is a device, FIFO or socket, and its manifest would be created beside it, "
+              f"as {manifest_path(args.out)}; link to it from another directory instead", file=sys.stderr)
         return EXIT_INPUT
     outputs = (args.out, manifest_path(args.out))
     for target in outputs:

@@ -119,7 +119,7 @@ def _arrivals(target: float, rng: np.random.Generator) -> tuple[int, list[np.nda
     angles: list[np.ndarray] = []
     last = 0.0
     while last < target:
-        gaps = rng.exponential(size=_ARRIVAL_BLOCK)
+        gaps = rng.standard_exponential(_ARRIVAL_BLOCK)  # exponential(size=...)'s numbers, times scale 1.0
         gaps[0] += last
         np.add.accumulate(gaps, out=gaps)  # np.cumsum's sum, without its copy for out=gaps
         measure.append(gaps)

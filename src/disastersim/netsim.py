@@ -75,40 +75,44 @@ Placement is elementwise, so a station gets the same coordinates whether
 its trial is placed alone (build_network, a one-trial block) or in a
 block.
 
-estimate_grid cuts the n trials it scores into near-equal blocks once:
-k = max(1, n // _BLOCK) blocks, with edges at n * i // k, so every block
-holds _BLOCK to 2 * _BLOCK - 1 trials, and fewer than _BLOCK trials are
-one smaller block. The blocks depend on n alone, never on the worker
-count, and a pool task is a run of whole blocks. Per trial, the engine
-calls _sample_trial and draws the fading, resetting each stream once.
-Everything else runs once per block, on the block's stations laid out
-station-major and zero-padded (_Block): every per-station array is
-(S, n_trials), and a trial's column holds its stations in station order,
-its inner ones ending at row split and its exterior ones starting there.
-Placement writes each station to its entry directly; the stations'
-fading is drawn in place into a trial-major buffer, where a trial's
-stations are one run, and copied once, transposed, per link. Per-trial values (device, user, serving station)
-are broadcast down the columns. Distances are 2-D in a block without an
-aerial tier, where every altitude is 0.0 and would add +0.0. A trial's
-serving station is np.argmin(axis=0) over distances set to inf off its
-candidates (_serving): the first minimum, so the lowest station index on
-a tie, as in the kernels. A station's radius is the one placement
-computed (_Block.radius), and the silencing zone at r_s is the exterior
-stations with radius <= r_s, the outer zone the rest. Each group's sum
-is one _column_sums call over terms masked to 0.0 off its interferers:
-the inner rows in order, the silencing-zone rows in order and the
-outer-zone rows in a reversed copy (_sums). A group without interferers
-by construction (I_fix when only the silencing zone transmits, I_sil
-when it does not transmit) is not summed and reads 0.0. Every policy is
-then scored from the sums at once. A block pays a fixed scoring cost,
-which a larger block spreads over more trials, but every batched array,
-and so peak memory, grows with it; so _BLOCK is a small constant, 32
-trials, and no block exceeds 63, so a block's arrays at most about
-double. Each trial is its own column of every block array, so no count
-depends on the block size. The first _count_blocks call in a process
-tells the C allocator to keep the heap it frees (_keep_freed_heap), so
-later blocks and calls reuse their pages instead of faulting them back
-in.
+estimate_grid cuts the n trials it scores into near-equal blocks once,
+as few as hold at most 2 * _BLOCK - 1 trials each: k = ceil(n / (2 *
+_BLOCK - 1)) blocks, with edges at n * i // k, so every block holds
+_BLOCK to 2 * _BLOCK - 1 trials, and fewer than _BLOCK trials are one
+smaller block. The blocks depend on n alone, never on the worker count,
+and a pool task is a run of whole blocks. Per trial, the engine calls
+_sample_trial and draws the fading, resetting each stream once and
+drawing each link's fading, the device's or user's and its stations', in
+one call. Everything else runs once per block, on the block's stations
+laid out station-major and zero-padded (_Block): every per-station array
+is (S, n_trials), and a trial's column holds its stations in station
+order, its inner ones ending at row split and its exterior ones starting
+there. Placement writes each station to its entry directly; without an
+aerial tier every altitude and transmit power is one value, so those two
+are read-only broadcast views rather than arrays. The fading is drawn in
+place into a trial-major buffer, where a trial's draws are one run, and
+copied once, transposed, per link. Per-trial values (device, user,
+serving station) are broadcast down the columns. Distances are 2-D in a
+block without an aerial tier, where every altitude is 0.0 and would add
++0.0. A trial's serving station is np.argmin(axis=0) over distances set
+to inf off its candidates (_serving): the first minimum, so the lowest
+station index on a tie, as in the kernels. A station's radius is the one
+placement computed (_Block.radius), and the silencing zone at r_s is the
+exterior stations with radius <= r_s, the outer zone the rest. Each
+group's sum is one _column_sums call over terms masked to 0.0 off its
+interferers: the inner rows in order, the silencing-zone rows in order
+and the outer-zone rows in a reversed copy (_sums). A group without
+interferers by construction (I_fix when only the silencing zone
+transmits, I_sil when it does not transmit) is not summed and reads 0.0.
+Every policy is then scored from the sums at once. A block pays a fixed
+cost, its placement and scoring NumPy calls, which a larger block
+spreads over more trials, but every batched array, and so peak memory,
+grows with it; so _BLOCK is a small constant, 32 trials, and no block
+exceeds 63. Each trial is its own column of every block array, so no
+count depends on the block size. The first _count_blocks call in a
+process tells the C allocator to keep the heap it frees
+(_keep_freed_heap), so later blocks and calls reuse their pages instead
+of faulting them back in.
 
 Station arrays are ordered [disaster, ring, aerial, exterior] with the
 exterior ascending in radius, so enlarging sim_radius only appends stations
@@ -503,8 +507,8 @@ def build_network(cfg: ScenarioConfig, trial_index: int) -> NetworkSnapshot:
     )
     block = _place_block(cfg, draws)
     stations = slice(block.split - int(block.n_inner[0]), None)  # the trial's column, without padding
-    x, y, alt, tx, alive, radius = (a[stations, 0] for a in (block.x, block.y, block.alt, block.tx, block.alive,
-                                                             block.radius))
+    x, y, alive, radius = (a[stations, 0] for a in (block.x, block.y, block.alive, block.radius))
+    alt, tx = (np.array(a[stations, 0]) for a in (block.alt, block.tx))  # copies: these may be broadcast views
     zone = np.repeat(_TIER_ZONE, draws.sizes)
     zone[(zone == Zone.OUTER) & (radius <= cfg.silencing_radius)] = Zone.SILENCING
     n = zone.size
@@ -707,17 +711,20 @@ def downlink_trial(
     return _trial_result(cfg, *downlink_sinr(net, cfg, user, band, g, h))
 
 
-# Least trials per block of the silencing engine: estimate_grid cuts n
-# trials into max(1, n // _BLOCK) near-equal blocks of _BLOCK to
-# 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
-# scoring cost (its NumPy calls, whatever its size) for a few trials. A
-# block's stations, about 500 per trial on paper_fig5, are scored as one
-# set of padded arrays. Every temporary array of a block grows with it,
-# and so does the engine's peak RSS, so the block is a small constant
-# rather than an option: 32 halves the blocks of 16 for about 1.4 MB, and
-# 64 ran within the noise of 32 for 1.4-2.2 MB more. No block exceeds 63
-# trials, so a block's arrays at most about double those of 32. No count
-# depends on it.
+# Least trials per block of the silencing engine. estimate_grid cuts n
+# trials into as few near-equal blocks as hold at most 2 * _BLOCK - 1 each,
+# ceil(n / (2 * _BLOCK - 1)) blocks of _BLOCK to 2 * _BLOCK - 1 trials, so
+# a block's fixed cost (its placement and scoring NumPy calls, whatever its
+# size) is paid as seldom as that bound allows, and never by a short tail
+# block for a few trials. A block's stations, about 500 per trial on
+# paper_fig5, are scored as one set of padded arrays, and every temporary
+# array of a block grows with it, so the block is a small constant rather
+# than an option. At 2016 fig5 trials on one pinned CPU (24 interleaved
+# rounds), blocks of at most 63 took 0.91x (run grid) and 0.88x (sweep
+# grid) of the time of the former max(1, n // 32) blocks of 32, for a
+# traced peak per call of 3.2 MB against 2.6 MB; at most 95 or 127 read
+# 0.85-0.88x, within the spread of 63's ratios (q1-q3 0.85-0.92), for 4.7
+# and 6.4 MB. No count depends on it.
 _BLOCK = 32
 
 # estimate_grid forks at most one worker per this many trials: forking and
@@ -734,16 +741,17 @@ _heap_kept = False
 def _keep_freed_heap() -> None:
     """Keep the heap that the engine frees in this process, once per process.
 
-    A fig5 block frees about 1 MB of NumPy temporaries. glibc hands the top
-    of the heap back to the kernel (trimming), and the next block faults it
-    back in page by page: about 700-900 minor faults per steady 50-trial
-    sweep or 100-trial run call (README, "Determinism"). So mallopt fixes
-    M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD above it. Both are set,
-    because setting either turns off glibc's dynamic mmap threshold: the
-    trim threshold alone would keep mmap at 128 KiB, and every larger array
-    would be mapped and unmapped each time it is made. The process then
-    keeps its peak heap until it exits. Where the C library has no mallopt,
-    nothing changes; no output depends on it.
+    A fig5 block of 50-63 trials frees about 2.5-3.1 MB of NumPy
+    temporaries (its tracemalloc peak). glibc hands the top of the heap
+    back to the kernel (trimming), and the next block faults it back in
+    page by page: with 32-trial blocks, about 700-900 minor faults per
+    steady 50-trial sweep or 100-trial run call (README, "Determinism").
+    So mallopt fixes M_MMAP_THRESHOLD at 32 MiB and M_TRIM_THRESHOLD
+    above it. Both are set, because setting either turns off glibc's
+    dynamic mmap threshold: the trim threshold alone would keep mmap at
+    128 KiB, and every larger array would be mapped and unmapped each time
+    it is made. The process then keeps its peak heap until it exits. Where
+    the C library has no mallopt, nothing changes; no output depends on it.
     """
     global _heap_kept
     if _heap_kept:
@@ -767,7 +775,8 @@ class _Block:
     split is the largest inner count, at least 1 so that every argmin has a
     row, and S is split plus the largest exterior count. A row that holds
     none of a trial's stations is padding: never alive, at radius 0.0 and
-    (0, 0), with fading 0.0.
+    (0, 0), with fading 0.0. Without an aerial tier, alt and tx hold one
+    value each and are read-only broadcast views.
     """
 
     split: int
@@ -856,8 +865,10 @@ def _place_block(cfg: ScenarioConfig, draws: _Draws) -> _Block:
     alive = radius > 0.0  # ring and exterior stations lie beyond the disaster disk, padding at radius 0.0
     disaster_end, ring_end, aerial_end, _ = np.cumsum(sizes.sum(axis=0)).tolist()  # each tier's end in at
     alive.reshape(-1)[at[:disaster_end]] = disaster[2] < cfg.bs_survival_prob
-    alt, tx = np.zeros(shape), np.full(shape, cfg.bs_tx_power)
-    if cfg.aerial is not None:
+    if cfg.aerial is None:  # one altitude and one transmit power: read-only views, no arrays
+        alt, tx = np.broadcast_to(0.0, shape), np.broadcast_to(np.float64(cfg.bs_tx_power), shape)
+    else:
+        alt, tx = np.zeros(shape), np.full(shape, cfg.bs_tx_power)
         flying = at[ring_end:aerial_end]
         alive.reshape(-1)[flying] = True  # never thinned, even at radius 0.0
         alt.reshape(-1)[flying], tx.reshape(-1)[flying] = cfg.aerial.altitude, cfg.aerial.tx_power
@@ -869,38 +880,50 @@ def _sample_block(cfg: ScenarioConfig, streams: _StreamPool, trials: range, down
     draws of uplink_trial and, if downlink, downlink_trial.
 
     Each Philox stream is reset once per trial and draws the reference's
-    numbers in order. The stations' fading is drawn trial-major, where a
-    trial's stations are one run of a row, by standard_exponential(out=...),
-    which draws the numbers of exponential(size=n): exponential multiplies
-    each by its scale, 1.0. One transposed copy per link then lays it out
-    as the block. downlink_trial resets its stream at every silencing
-    radius and so draws the same user fractions and fading at each; they
-    are drawn once.
+    numbers in order. A link's fading, the device's or user's and then its
+    stations', is one standard_exponential(out=...) call per trial, which
+    draws the numbers of exponential() then exponential(size=n):
+    exponential multiplies each standard draw by its scale, 1.0. It is
+    drawn trial-major, where a trial's draws are one run of a row, and one
+    transposed copy per link then lays the stations' fading out as the
+    block (_split_fading). downlink_trial resets its stream at every
+    silencing radius and so draws the same user fractions and fading at
+    each; they are drawn once.
     """
     plan, draws = _plan(cfg), _Draws()
     for t in trials:
         _sample_trial(plan, streams.get(t, STREAM_GEOMETRY), streams.get(t, STREAM_EXTERIOR), draws)
     block = _place_block(cfg, draws)
 
-    n_trials, n_rows = block.n_trials, block.x.shape[0]
-    first, last = (block.split - block.n_inner).tolist(), (block.split + block.n_exterior).tolist()
-    up_g, up_h = np.empty(n_trials), np.zeros((n_trials, n_rows))
+    # In a buffer with one column more than the block has rows, trial i's
+    # link fading is column first[i], and its stations follow it, each one
+    # column right of its row in the block.
+    first = block.split - block.n_inner
+    runs = zip(trials, first.tolist(), (block.split + block.n_exterior + 1).tolist())
+    up = np.zeros((block.n_trials, block.x.shape[0] + 1))
     if downlink:
-        user_u, down_g, down_h = np.empty((n_trials, 2)), np.empty(n_trials), np.zeros((n_trials, n_rows))
-    for i, t in enumerate(trials):
-        stations = slice(first[i], last[i])
-        stream = streams.get(t, STREAM_UPLINK)
-        up_g[i] = stream.exponential()
-        stream.standard_exponential(out=up_h[i, stations])
+        user_u, down = np.empty((block.n_trials, 2)), np.zeros(up.shape)
+    for i, (t, start, stop) in enumerate(runs):
+        streams.get(t, STREAM_UPLINK).standard_exponential(out=up[i, start:stop])
         if downlink:
             stream = streams.get(t, STREAM_DOWNLINK)
             stream.random(out=user_u[i])  # downlink_trial's user: radius, then angle fraction
-            down_g[i] = stream.exponential()
-            stream.standard_exponential(out=down_h[i, stations])
-    block.up_fading = up_g, up_h.T.copy()
+            stream.standard_exponential(out=down[i, start:stop])
+    block.up_fading = _split_fading(up, first)
     if downlink:
-        block.down_draws = user_u.T, down_g, down_h.T.copy()
+        block.down_draws = user_u.T, *_split_fading(down, first)
     return block
+
+
+def _split_fading(drawn: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(link fading (n_trials,), stations' fading (S, n_trials)) from the
+    buffer _sample_block draws a link's fading into: each trial's link
+    fading, read from column first and set to 0.0 there, then the rest of
+    the buffer as the block, in one transposed copy."""
+    link = np.arange(first.size), first
+    fading = drawn[link]
+    drawn[link] = 0.0  # a padding row of the trial
+    return fading, drawn[:, 1:].T.copy()
 
 
 def _serving(d: np.ndarray, on: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1050,6 +1073,7 @@ def _count_blocks(cfg: ScenarioConfig, radii, policies, downlink: bool, edges) -
             _count_uplink(cfg, block, radii, up_factors, counts[:2])
             for k, r_s in enumerate(radii if downlink else ()):
                 _count_downlink(cfg, block, r_s, groups, counts[2:, k])
+            del block  # so that its arrays are freed before the next block is sampled
     return counts[:, :, np.argsort(order)].transpose(1, 2, 0)
 
 
@@ -1094,16 +1118,15 @@ def estimate_grid(
     for r_s in radii:
         replace(cfg, silencing_radius=r_s)  # ScenarioConfig bounds every radius
     n = cfg.n_trials
-    k = max(1, n // _BLOCK)
+    k = -(-n // (2 * _BLOCK - 1))  # ceil(n / (2 * _BLOCK - 1)): as few blocks as hold at most that many
     edges = [n * i // k for i in range(k + 1)]
-    # At most one worker per _TRIALS_PER_WORKER trials: forking and joining a
-    # pool costs about 10 ms, and on 2 cores two workers beat one on the fig5
-    # sweep only from about 110-128 trials (silencing-run from 190-256). With
-    # one worker the blocks run here, and the process-pool modules are never
-    # imported. Otherwise each pool task is a run of whole blocks, about four
-    # tasks per worker. Per-trial seeding makes any partition valid; summing
-    # integer counts in ascending task order keeps the result identical for
-    # any worker count.
+    # At most one worker per _TRIALS_PER_WORKER trials, because forking and
+    # joining a pool costs about 10 ms (README, "Determinism", has the
+    # break-even). With one worker the blocks run here, and the process-pool
+    # modules are never imported. Otherwise each pool task is a run of whole
+    # blocks, about four tasks per worker where there are enough blocks.
+    # Per-trial seeding makes any partition valid; summing integer counts in
+    # ascending task order keeps the result identical for any worker count.
     workers = min(workers, n // _TRIALS_PER_WORKER)
     if workers <= 1:
         counts = _count_blocks(cfg, radii, policies, downlink, edges)

@@ -463,6 +463,30 @@ def test_out_to_dev_null_exits_0(tmp_path):
     assert manifest_path(sink).read_text(encoding="utf-8").startswith("artifact: disastersim\n")
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_that_is_a_device_or_fifo_exits_2_and_creates_nothing(tmp_path, capsys):
+    # the manifest lies beside --out, so for a device it would be a new file
+    # in /dev (/dev/null.manifest): --out naming a device or FIFO itself is
+    # refused before loading. The FIFO has a reader, so that a run which
+    # wrongly opens it for writing does not block.
+    scenario = write(tmp_path, SATWET_SCENARIO)
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        before = sorted(tmp_path.iterdir())
+        assert run(["satwet-curve", "--scenario", scenario, "--out", fifo]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+    finally:
+        os.close(reader)
+    assert "is a device, FIFO or socket" in capsys.readouterr().err
+    if os.path.lexists("/dev/null") and stat.S_ISCHR(os.lstat("/dev/null").st_mode):
+        existed = os.path.lexists("/dev/null.manifest")
+        assert run(["satwet-curve", "--scenario", scenario, "--out", "/dev/null"]) == 2
+        assert os.path.lexists("/dev/null.manifest") == existed
+        assert "/dev/null.manifest" in capsys.readouterr().err
+
+
 def test_existing_outputs_keep_their_permission_bits(tmp_path):
     scenario = write(tmp_path, SATWET_SCENARIO)
     out = tmp_path / "curve.csv"

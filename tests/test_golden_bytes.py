@@ -216,10 +216,16 @@ def test_generator_outputs_are_pinned(method):
 def test_generator_call_merges_hold(count):
     # the engine draws a tier of c stations as random((k, c)) and the device
     # as random(2), relying on C-order rows and on random(a), random(b)
-    # being random(a + b); and its fading as standard_exponential(out=...),
-    # relying on it giving exponential(size=n)'s numbers
+    # being random(a + b); its exterior gaps as standard_exponential(n),
+    # relying on it giving exponential(size=n)'s numbers; and a link's
+    # fading, the reference's exponential() and then exponential(size=c),
+    # as one standard_exponential(out=...) of c + 1 numbers
     for k in (2, 3):
         assert np.array_equal(philox().random((k, count)), philox().random(k * count).reshape(k, count))
     rng = philox()
     assert np.array_equal(np.concatenate((rng.random(2), rng.random(count))), philox().random(2 + count))
     assert np.array_equal(into("standard_exponential", count)(philox()), philox().exponential(size=count))
+    assert np.array_equal(philox().standard_exponential(count), philox().exponential(size=count))
+    rng = philox()
+    assert np.array_equal(np.concatenate(([rng.exponential()], into("standard_exponential", count)(rng))),
+                          into("standard_exponential", count + 1)(philox()))

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import disaster_station, silencing_station, snapshot_from_stations, trial_rows
@@ -309,9 +309,8 @@ def test_grid_without_aerial_tier_equals_an_empty_aerial_tier():
 
 def test_block_size_changes_no_count(monkeypatch):
     # each trial is its own row of every block array, so how many trials a
-    # block holds moves no count: 70 trials make 70 blocks of 1, ten of 7,
-    # four of 17-18, two of 35, or one of 70 (the 6-trial tail merges at 16
-    # and 32, the 22-trial one at 48, and at 64 all 70 are one block)
+    # block holds moves no count: 70 trials make 70 blocks of 1, six of
+    # 11-12, three of 23-24, two of 35, or one of 70 (at 48 and at 64)
     cfg = base_cfg(bs_density=2e-7, bs_survival_prob=0.0, n_trials=70, master_seed=61,
                    aerial=AerialTier(density=5e-8, altitude=300.0, tx_power=0.5))
     radii = (3500.0, 9000.0, 14000.0)
@@ -400,8 +399,10 @@ def assert_block_equals_replay(cfg: ScenarioConfig, trials: range) -> list[dict]
     user_u, down_g, down_h = block.down_draws
     assert block.n_trials == len(trials)
     n_rows = block.split + block.n_exterior.max()
-    for a in (block.x, block.y, block.alt, block.tx, block.alive, block.radius, up_h, down_h):
+    for a in (block.x, block.y, block.alive, block.radius, up_h, down_h):
         assert a.shape == (n_rows, len(trials)) and a.flags.c_contiguous
+    for a in (block.alt, block.tx):  # without an aerial tier, read-only views of one value each
+        assert a.shape == (n_rows, len(trials)) and (a.flags.c_contiguous if block.flying else not a.flags.writeable)
     assert block.split == max(1, block.n_inner.max())
     replays = []
     for i, t in enumerate(trials):
@@ -797,29 +798,71 @@ def test_pool_forks_at_most_one_worker_per_64_trials(serial_pool):
 @pytest.mark.parametrize("n_trials,workers", [(128, 2), (323, 5), (1000, 3), (100_000, 2), (100_000, 8)])
 def test_pool_chunks_are_unchanged_with_four_blocks_per_worker(serial_pool, monkeypatch, n_trials, workers):
     # with n >= 64 * workers every worker is forked, and each task is a run
-    # of `step` whole blocks of the one partition, about four tasks per
-    # worker; the tasks count nothing here, so 100k trials cost no scoring
+    # of whole blocks of the one partition, about four tasks per worker
+    # where there are enough blocks (see
+    # test_property_trials_are_cut_into_fewest_blocks_of_at_most_63); the
+    # tasks count nothing here, so 100k trials cost no scoring
     monkeypatch.setattr(netsim, "_count_blocks", lambda *task: 0)
-    k = n_trials // netsim._BLOCK
-    edges = [n_trials * i // k for i in range(k + 1)]
-    step = math.ceil(k / (4 * workers))
     estimate_grid(base_cfg(n_trials=n_trials), (9000.0,), FOUR, workers=workers)
     assert serial_pool.sizes == [workers]
-    assert serial_pool.tasks == [[edges[i:i + step + 1] for i in range(0, k, step)]]
     # the trials each task spans, where they must not move
-    pinned = {(128, 2): [32] * 4, (100_000, 2): [12512] * 7 + [12416], (100_000, 8): [3136] * 31 + [2784]}
-    if (n_trials, workers) in pinned:
-        assert [task[-1] - task[0] for task in serial_pool.tasks[0]] == pinned[n_trials, workers]
+    pinned = {
+        (128, 2): [42, 43, 43],
+        (323, 5): [53] + [54] * 5,
+        (1000, 3): [125] * 8,
+        (100_000, 2): [12531, 12531, 12532, 12531, 12532, 12531, 12532, 12280],
+        (100_000, 8): [3148, 3149, 3148, 3149, 3149, 3148, 3149, 3148, 3149, 3149, 3148, 3149, 3148, 3149, 3149,
+                       3148, 3149, 3149, 3148, 3149, 3148, 3149, 3149, 3148, 3149, 3148, 3149, 3149, 3148, 3149,
+                       3149, 2393],
+    }
+    assert [task[-1] - task[0] for task in serial_pool.tasks[0]] == pinned[n_trials, workers]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 200_000), workers=st.integers(1, 8))
+def test_property_trials_are_cut_into_fewest_blocks_of_at_most_63(serial_pool, monkeypatch, n, workers):
+    # estimate_grid cuts [0, n) once into ceil(n / 63) near-equal blocks of
+    # 32 to 63 trials (n < 32 is one smaller block), whatever the worker
+    # count, and a pool task is a run of whole blocks; the blocks count
+    # nothing here, so 200k trials cost no scoring
+    calls = []
+
+    def count(cfg, radii, policies, downlink, edges):
+        calls.append(list(edges))
+        return np.zeros((len(radii), len(policies), 4), dtype=np.int64)
+
+    monkeypatch.setattr(netsim, "_count_blocks", count)
+    serial_pool.tasks.clear()
+    cfg = base_cfg(n_trials=n)
+    estimate_grid(cfg, (9000.0,), FOUR[:1], workers=1)
+    (edges,) = calls
+    sizes = np.diff(edges)
+    assert edges[0] == 0 and edges[-1] == n and len(sizes) == math.ceil(n / 63)
+    if n < 32:
+        assert sizes.tolist() == [n]
+    else:
+        assert sizes.min() >= 32 and sizes.max() <= 63
+    calls.clear()
+    estimate_grid(cfg, (9000.0,), FOUR[:1], workers=workers)
+    if min(workers, n // netsim._TRIALS_PER_WORKER) > 1:
+        (tasks,) = serial_pool.tasks
+        assert all(len(task) >= 2 for task in tasks)
+        assert [e for task in tasks for e in task[:-1]] + [n] == edges
+        assert all(a[-1] == b[0] for a, b in zip(tasks, tasks[1:])) and tasks[-1][-1] == n
+        assert calls == tasks
+    else:
+        assert calls == [edges] and serial_pool.tasks == []
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_blocks_hold_block_to_twice_block_minus_one_trials(serial_pool, monkeypatch, workers):
-    # the n trials are cut once into near-equal blocks of _BLOCK to
-    # 2 * _BLOCK - 1 trials, so no short tail block pays a block's fixed
-    # cost for a few trials; only n < _BLOCK is one smaller block. The
-    # blocks do not depend on the worker count, and a pool task is a run of
-    # whole blocks, so none is shorter than _BLOCK: 152 trials on 2 workers
-    # are four tasks of 38.
+    # the n trials are cut once into as few near-equal blocks as hold at
+    # most 2 * _BLOCK - 1 trials, so each holds _BLOCK to 2 * _BLOCK - 1
+    # and no short tail block pays a block's fixed cost for a few trials;
+    # only n < _BLOCK is one smaller block. The blocks do not depend on the
+    # worker count, and a pool task is a run of whole blocks, so none is
+    # shorter than _BLOCK: 152 trials on 2 workers are tasks of 50, 51 and 51.
     blocks = []
     original = netsim._sample_block
 
@@ -849,7 +892,7 @@ def test_blocks_hold_block_to_twice_block_minus_one_trials(serial_pool, monkeypa
             assert all(task[-1] - task[0] >= block for task in tasks), (n, tasks)
         if n == 50:
             assert len(in_process) == 1
-    assert serial_pool.tasks == ([[[0, 38], [38, 76], [76, 114], [114, 152]]] if workers == 2 else [])
+    assert serial_pool.tasks == ([[[0, 50], [50, 101], [101, 152]]] if workers == 2 else [])
 
 
 def test_radius_outside_sim_radius_rejected():

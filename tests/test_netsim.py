@@ -180,6 +180,18 @@ def test_build_network_snapshot_invariants():
     assert np.all(net.band == Band.DISASTER_BAND)
 
 
+@pytest.mark.parametrize("aerial", [None, AerialTier(density=2e-6, altitude=500.0, tx_power=5.0)])
+def test_build_network_arrays_are_writeable_and_c_contiguous(aerial):
+    # a snapshot's arrays are its own to write (apply_policy writes into a
+    # copy's); a block without an aerial tier holds its altitudes and
+    # transmit powers as read-only broadcast views, which must not leak in
+    net = build_network(unit_cfg(bs_density=3e-6, aerial=aerial), 2)
+    assert net.n_bs > 0
+    for field in dataclasses.fields(net):
+        a = getattr(net, field.name)
+        assert a.flags.writeable and a.flags.c_contiguous, field.name
+
+
 def test_build_network_aerial_tier():
     from disastersim.netsim import AerialTier
 
